@@ -38,10 +38,14 @@ class Counters:
     reused_evals: int = 0
 
     def bump(self, increments: dict) -> None:
-        for name, step in increments.items():
-            if name not in COUNTER_FIELDS:
-                raise ValueError(f"unknown counter field {name!r}")
-            setattr(self, name, getattr(self, name) + step)
+        # the instance dict holds exactly the counter fields, so the lookup
+        # itself rejects an unknown name
+        counts = self.__dict__
+        try:
+            for name, step in increments.items():
+                counts[name] += step
+        except KeyError as exc:
+            raise ValueError(f"unknown counter field {exc.args[0]!r}") from None
 
     def snapshot(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))

@@ -100,7 +100,7 @@ def main(argv=None) -> int:
                 config.seed = args.seed
             if args.scale is not None:
                 config.scale = args.scale
-            results = run_experiment(config, record_traces=args.check)
+            results = run_experiment(config)  # --check reruns every cell itself
             print(f"wrote {len(results)} trace(s) to {config.out}")
             if args.check:
                 lines, ok = check_run_dir(config.out, Path(config.out) / "check_report.txt")

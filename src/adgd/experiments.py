@@ -169,6 +169,20 @@ def _want_float(value, lineno, key):
         raise ConfigError(f"{key} must be a number, got {value!r}", lineno)
 
 
+def _want_int(value, lineno, key, minimum):
+    number = _want_float(value, lineno, key)
+    if not (number.is_integer() and number >= minimum):  # is_integer is false for inf, nan
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}", lineno)
+    return int(number)
+
+
+def _want_positive(value, lineno, key):
+    number = _want_float(value, lineno, key)
+    if not (math.isfinite(number) and number > 0):
+        raise ConfigError(f"{key} must be a positive finite number, got {value!r}", lineno)
+    return number
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     runs = []
@@ -192,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
                             raise ConfigError(f"unknown problem {k!r}", ln)
                     cfg.problems = kinds
                 elif key == "seed":
-                    cfg.seed = int(_want_float(value, ln, key))
+                    cfg.seed = _want_int(value, ln, key, 0)
                 elif key == "scale":
                     if value not in ("desk", "paper"):
                         raise ConfigError("scale must be desk or paper", ln)
@@ -204,11 +218,11 @@ def parse_config(text: str) -> ExperimentConfig:
                         raise ConfigError("plot must be yes or no", ln)
                     cfg.plot = _BOOL[value.lower()]
                 elif key == "max_iter":
-                    cfg.max_iter = int(_want_float(value, ln, key))
+                    cfg.max_iter = _want_int(value, ln, key, 1)
                 elif key == "grad_tol":
-                    cfg.grad_tol = _want_float(value, ln, key)
+                    cfg.grad_tol = _want_positive(value, ln, key)
                 elif key == "alpha0":
-                    cfg.alpha0 = "search" if value == "search" else _want_float(value, ln, key)
+                    cfg.alpha0 = "search" if value == "search" else _want_positive(value, ln, key)
                 elif key == "reference":
                     if value not in ("auto", "none"):
                         raise ConfigError("reference must be auto or none", ln)
@@ -235,7 +249,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[{name}] is missing a problem", lineno)
             try:
                 rule = rule_from_dict({"kind": rule_kind, **params})
-            except (KeyError, ConfigError):
+            except (KeyError, ValueError):  # the rules reject invalid parameters
                 raise ConfigError(
                     f"rule {rule_kind!r} with params {sorted(params)} is invalid", lineno)
             runs.append(RunSpec(run_name, problem, rule))

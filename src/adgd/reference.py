@@ -3,8 +3,10 @@
 References are self-hosted: a long adaptive proximal-gradient run with a
 tight gradient-mapping tolerance.  For the nonconvex factorization problem
 the reference is the best value found over a ten-restart sweep and is labeled
-as such.  Cache files are keyed by the problem descriptor, so a rerun with
-the same seed and parameters is a pure cache hit.
+as such.  Cache files are keyed by the problem descriptor, the solve settings
+(grad_tol, max_iter) and the cache format, which are also stored in the file
+and checked on load: a rerun with the same seed, parameters and settings is a
+pure cache hit, and a reference is never reused under other settings.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -25,16 +28,28 @@ REFERENCE_MAX_ITER = 10 ** 6
 NMF_RESTARTS = 10
 
 
-def reference_key(inst: ProblemInstance) -> str:
-    desc = json.dumps(instance_descriptor(inst), sort_keys=True)
-    return hashlib.sha256(desc.encode()).hexdigest()[:16]
+CACHE_FORMAT = "adgd-reference-v2"
 
 
-def reference_path(cache_dir, inst: ProblemInstance) -> Path:
-    return Path(cache_dir) / f"ref_{inst.kind}_{reference_key(inst)}.npz"
+def _cache_settings(inst: ProblemInstance, grad_tol: float, max_iter: int) -> str:
+    return json.dumps({"descriptor": instance_descriptor(inst), "format": CACHE_FORMAT,
+                       "grad_tol": float(grad_tol), "max_iter": int(max_iter)},
+                      sort_keys=True)
 
 
-def _save(path: Path, ref: ReferenceSolution, inst: ProblemInstance) -> None:
+def reference_key(inst: ProblemInstance, grad_tol: float = REFERENCE_GRAD_TOL,
+                  max_iter: int = REFERENCE_MAX_ITER) -> str:
+    settings = _cache_settings(inst, grad_tol, max_iter)
+    return hashlib.sha256(settings.encode()).hexdigest()[:16]
+
+
+def reference_path(cache_dir, inst: ProblemInstance, grad_tol: float = REFERENCE_GRAD_TOL,
+                   max_iter: int = REFERENCE_MAX_ITER) -> Path:
+    key = reference_key(inst, grad_tol, max_iter)
+    return Path(cache_dir) / f"ref_{inst.kind}_{key}.npz"
+
+
+def _save(path: Path, ref: ReferenceSolution, settings: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp.npz")
     np.savez(
@@ -43,13 +58,16 @@ def _save(path: Path, ref: ReferenceSolution, inst: ProblemInstance) -> None:
         F_star=np.float64(ref.F_star),
         tolerance=np.float64(ref.tolerance),
         provenance=np.str_(ref.provenance),
-        descriptor=np.str_(json.dumps(instance_descriptor(inst), sort_keys=True)),
+        settings=np.str_(settings),
     )
     os.replace(tmp, path)
 
 
-def _load(path: Path) -> ReferenceSolution:
+def _load(path: Path, settings: str) -> Optional[ReferenceSolution]:
+    """The cached reference, or None when it was built under other settings."""
     with np.load(path) as data:
+        if "settings" not in data.files or str(data["settings"]) != settings:
+            return None
         return ReferenceSolution(
             x_star=np.array(data["x_star"]),
             F_star=float(data["F_star"]),
@@ -100,14 +118,17 @@ def make_reference(inst: ProblemInstance, cache_dir=None,
     caching entirely.
     """
     path = None
+    settings = _cache_settings(inst, grad_tol, max_iter)
     if cache_dir is not None:
-        path = reference_path(cache_dir, inst)
+        path = reference_path(cache_dir, inst, grad_tol, max_iter)
         if path.exists() and not force:
-            return _load(path)
+            ref = _load(path, settings)
+            if ref is not None:
+                return ref
     if inst.kind == "nmf":
         ref = _solve_nmf_reference(inst, max(grad_tol, 1e-10), min(max_iter, 20000))
     else:
         ref = _solve_reference(inst, grad_tol, max_iter)
     if path is not None:
-        _save(path, ref, inst)
+        _save(path, ref, settings)
     return ref

@@ -140,12 +140,17 @@ class SolverState:
 
 
 def curvature_estimate(x_curr, x_prev, grad_curr, grad_prev) -> float:
-    """||grad difference|| / ||point difference||; zero if gradients agree."""
-    dx = float(np.linalg.norm(np.asarray(x_curr) - np.asarray(x_prev)))
+    """||grad difference|| / ||point difference||; zero if gradients agree.
+
+    Takes flat points.  ``sqrt(d @ d)`` is how numpy's 2-norm of a 1-d float64
+    array is computed, so the result matches ``np.linalg.norm`` bit for bit.
+    """
+    d = np.subtract(x_curr, x_prev)
+    dx = math.sqrt(d @ d)
     if dx == 0.0:
         raise StationaryStep("consecutive iterates coincide")
-    dg = float(np.linalg.norm(np.asarray(grad_curr) - np.asarray(grad_prev)))
-    return dg / dx
+    d = np.subtract(grad_curr, grad_prev)
+    return math.sqrt(d @ d) / dx
 
 
 def stepsize_adgd1(state: SolverState, L_k: float) -> float:
@@ -448,7 +453,6 @@ class Trace:
     xs: np.ndarray = None
     grads: np.ndarray = None
     subgrads: np.ndarray = None
-    events: list = None
 
     CSV_HEADER = ("iter,alpha,theta,Lk,F,step_norm,"
                   "grad_evals,func_evals,prox_evals,svd_count,eig_count,projection_count")
@@ -497,12 +501,10 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         raise TypeError(f"rule {rule!r} is not valid for this problem")
 
     counters = Counters()
-    events = [] if config.record_trace else None
+    cost_model = comp.cost_model
 
     def on_event(kind):
-        apply_event(counters, comp.cost_model, kind)
-        if events is not None:
-            events.append(kind)
+        apply_event(counters, cost_model, kind)
 
     x0 = np.array(getattr(problem, "x0", None) if config.x0 is None else config.x0,
                   dtype=np.float64)
@@ -560,97 +562,106 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     F_next = math.nan
     steps_taken = 0
 
-    for k in range(config.max_iter):
-        if k == 0:
-            L_k = 0.0 if config.curvature_override is None else config.curvature_override
-            if armijo:
-                alpha_k, x_next, f_next, _ = armijo_search(
-                    SolverState(k=0, x_prev=x_curr, x_curr=x_curr, grad_prev=g_curr,
-                                grad_curr=g_curr, alpha=alpha0, alpha_prev=alpha0,
-                                theta=rule.theta0),
-                    comp, rule.s, rule.r, f_curr=f_curr, on_event=on_event)
-                theta_k = alpha_k / alpha0
-            else:
-                alpha_k = alpha0
-                z = x_curr - alpha_k * g_curr
-                x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
-                f_next = None
-                theta_k = rule.theta0
-        else:
-            if config.curvature_override is not None:
-                L_k = config.curvature_override
-            else:
-                try:
-                    L_k = curvature_estimate(x_curr, x_prev, g_curr, g_prev)
-                except StationaryStep:
-                    status = "converged"
-                    break
-            state = SolverState(k=k, x_prev=x_prev, x_curr=x_curr, grad_prev=g_prev,
-                                grad_curr=g_curr, alpha=alpha_prev_step,
-                                alpha_prev=alpha_prev_step, theta=theta_prev)
-            if armijo:
-                alpha_k, x_next, f_next, _ = armijo_search(
-                    state, comp, rule.s, rule.r, f_curr=f_curr, on_event=on_event)
-            else:
-                alpha_k = _rule_alpha(rule, state, L_k)
-                with np.errstate(over="ignore", invalid="ignore"):
+    badgd = isinstance(rule, BadGD)
+    # one error state for the whole loop: a diverging rule overflows on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iter):
+            if k == 0:
+                L_k = 0.0 if config.curvature_override is None else config.curvature_override
+                if armijo:
+                    alpha_k, x_next, f_next, _ = armijo_search(
+                        SolverState(k=0, x_prev=x_curr, x_curr=x_curr, grad_prev=g_curr,
+                                    grad_curr=g_curr, alpha=alpha0, alpha_prev=alpha0,
+                                    theta=rule.theta0),
+                        comp, rule.s, rule.r, f_curr=f_curr, on_event=on_event)
+                    theta_k = alpha_k / alpha0
+                else:
+                    alpha_k = alpha0
                     z = x_curr - alpha_k * g_curr
-                x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
-                f_next = None
-            theta_k = alpha_k / alpha_prev_step
-
-        finite = bool(np.all(np.isfinite(x_next)))
-        if not finite and not isinstance(rule, BadGD):
-            raise NumericalError(f"non-finite iterate at step {k} under rule {rule_name}")
-
-        step_norm = float(np.linalg.norm(x_next - x_curr)) if finite else math.inf
-        steps_taken += 1
-        trace.final_residual = step_norm / alpha_k
-        if rows or not finite:
-            F_next = _objective(comp, x_next, f_val=f_next) if finite else math.inf
-        if rows:
-            alphas.append(alpha_k)
-            thetas.append(theta_k)
-            curvs.append(L_k)
-            norms.append(step_norm)
-            F_steps.append(F_next)
-            crows.append(counters.snapshot())
-        if record:
-            xs.append(x_next.copy() if finite else np.array(x_next, dtype=np.float64))
-            F_vals.append(F_next)
-            if prox_run and finite:
-                subgrads.append(recover_subgradient(x_next, x_curr, g_curr, alpha_k))
+                    x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
+                    f_next = None
+                    theta_k = rule.theta0
             else:
-                subgrads.append(np.zeros_like(x0))
+                if config.curvature_override is not None:
+                    L_k = config.curvature_override
+                else:
+                    try:
+                        L_k = curvature_estimate(x_curr, x_prev, g_curr, g_prev)
+                    except StationaryStep:
+                        status = "converged"
+                        break
+                state = SolverState(k=k, x_prev=x_prev, x_curr=x_curr, grad_prev=g_prev,
+                                    grad_curr=g_curr, alpha=alpha_prev_step,
+                                    alpha_prev=alpha_prev_step, theta=theta_prev)
+                if armijo:
+                    alpha_k, x_next, f_next, _ = armijo_search(
+                        state, comp, rule.s, rule.r, f_curr=f_curr, on_event=on_event)
+                else:
+                    alpha_k = _rule_alpha(rule, state, L_k)
+                    z = x_curr - alpha_k * g_curr
+                    x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
+                    f_next = None
+                theta_k = alpha_k / alpha_prev_step
 
-        if not finite or float(np.linalg.norm(x_next)) > config.divergence_norm:
-            status = "diverged"
+            # ||x_next||^2 serves the finiteness and the divergence test; it is
+            # inf for a huge finite iterate, so only then are entries inspected
+            sq = x_next @ x_next
+            finite = math.isfinite(sq) or bool(np.all(np.isfinite(x_next)))
+            if not finite and not badgd:
+                raise NumericalError(f"non-finite iterate at step {k} under rule {rule_name}")
+
+            if finite:
+                d = x_next - x_curr
+                step_norm = math.sqrt(d @ d)
+            else:
+                step_norm = math.inf
+            steps_taken += 1
+            trace.final_residual = step_norm / alpha_k
+            if rows or not finite:
+                F_next = _objective(comp, x_next, f_val=f_next) if finite else math.inf
+            if rows:
+                alphas.append(alpha_k)
+                thetas.append(theta_k)
+                curvs.append(L_k)
+                norms.append(step_norm)
+                F_steps.append(F_next)
+                crows.append(counters.snapshot())
+            if record:
+                xs.append(x_next.copy() if finite else np.array(x_next, dtype=np.float64))
+                F_vals.append(F_next)
+                if prox_run and finite:
+                    subgrads.append(recover_subgradient(x_next, x_curr, g_curr, alpha_k))
+                else:
+                    subgrads.append(np.zeros_like(x0))
+
+            if not finite or math.sqrt(sq) > config.divergence_norm:
+                status = "diverged"
+                x_prev, x_curr = x_curr, x_next
+                g_prev = g_curr
+                g_curr = None
+                alpha_prev_step, theta_prev = alpha_k, theta_k
+                break
+
+            if step_norm / alpha_k <= config.grad_tol:
+                status = "converged"
+                x_prev, x_curr = x_curr, x_next
+                g_prev = g_curr
+                g_curr = None
+                alpha_prev_step, theta_prev = alpha_k, theta_k
+                break
+
             x_prev, x_curr = x_curr, x_next
             g_prev = g_curr
-            g_curr = None
             alpha_prev_step, theta_prev = alpha_k, theta_k
-            break
-
-        if step_norm / alpha_k <= config.grad_tol:
-            status = "converged"
-            x_prev, x_curr = x_curr, x_next
-            g_prev = g_curr
-            g_curr = None
-            alpha_prev_step, theta_prev = alpha_k, theta_k
-            break
-
-        x_prev, x_curr = x_curr, x_next
-        g_prev = g_curr
-        alpha_prev_step, theta_prev = alpha_k, theta_k
-        if k == config.max_iter - 1:
-            g_curr = None  # budget exhausted: the next gradient is never needed
-            continue
-        g_curr = _eval_gradient(comp, x_curr, on_event)
-        if armijo:
-            on_event("reuse")  # accepted trial's work feeds this gradient
-            f_curr = f_next
-        if record:
-            grads.append(g_curr.copy())
+            if k == config.max_iter - 1:
+                g_curr = None  # budget exhausted: the next gradient is never needed
+                continue
+            g_curr = _eval_gradient(comp, x_curr, on_event)
+            if armijo:
+                on_event("reuse")  # accepted trial's work feeds this gradient
+                f_curr = f_next
+            if record:
+                grads.append(g_curr.copy())
 
     trace.status = status
     trace.iters = steps_taken
@@ -672,5 +683,4 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         trace.xs = np.asarray(xs)
         trace.grads = np.asarray(grads)
         trace.subgrads = np.asarray(subgrads) if prox_run else np.zeros_like(trace.xs)
-        trace.events = events
     return trace

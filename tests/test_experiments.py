@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from adgd.experiments import (
     run_experiment,
 )
 from adgd.cli import main as cli_main
+import adgd
 from adgd.problems import make_nmf, make_quadratic
 from adgd.reference import make_reference, reference_path
 from adgd.solvers import AdGD2, Armijo
@@ -97,6 +102,23 @@ def test_default_matrix_is_adaptive_plus_nine_pairs():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         parse_config("[experiment]\nname = x\n[mystery]\nkey = 1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "max_iter = 0", "seed = nan", "max_iter = 1e400", "grad_tol = -1", "alpha0 = -2",
+])
+def test_cli_bad_value_exits_2_with_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[experiment]\nname = bad\nreference = none\n{line}\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "(line 4)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_rule_parameter_reports_line():
+    with pytest.raises(ConfigError, match="line 3"):
+        parse_config("[experiment]\nname = x\n[run.a]\nproblem = mle\n"
+                     "rule = armijo\ns = 0.5\nr = 0.5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +272,26 @@ def test_reference_cache_hit(tmp_path):
     assert np.array_equal(ref1.x_star, ref2.x_star)
 
 
+def test_reference_cache_keyed_on_settings(tmp_path):
+    inst = make_quadratic(83, 10, 1000.0)
+    tight = make_reference(inst, tmp_path)
+    loose = make_reference(inst, tmp_path, grad_tol=1e-6)
+    assert tight.tolerance < 1e-6 <= loose.tolerance
+    assert "grad_tol=1e-06" in loose.provenance
+    assert reference_path(tmp_path, inst) != reference_path(tmp_path, inst, grad_tol=1e-6)
+    assert len(list(tmp_path.glob("ref_quadratic_*.npz"))) == 2
+    assert make_reference(inst, tmp_path).F_star == tight.F_star
+
+
+def test_reference_cache_rejects_file_of_other_settings(tmp_path):
+    inst = make_quadratic(84, 10, 10.0)
+    loose = make_reference(inst, tmp_path, grad_tol=1e-6)
+    # a file built under other settings, sitting where the default lookup goes
+    reference_path(tmp_path, inst, grad_tol=1e-6).replace(reference_path(tmp_path, inst))
+    tight = make_reference(inst, tmp_path)
+    assert "grad_tol=1e-12" in tight.provenance and tight.tolerance < loose.tolerance
+
+
 def test_reference_nmf_best_found(tmp_path):
     inst = make_nmf(82, 10, 3)
     ref = make_reference(inst, tmp_path)
@@ -312,3 +354,54 @@ def test_cli_scale_flag_changes_sizes(tmp_path):
     assert rc == 0
     desc = json.loads((tmp_path / "big.json").read_text())
     assert desc["params"]["n"] == 100
+
+
+BLAS_CELLS = """
+[experiment]
+name = blas
+seed = 1
+scale = desk
+plot = no
+max_iter = 150
+reference = none
+
+[run.mle]
+problem = mle
+rule = adproxgd
+
+[run.lrmc]
+problem = lrmc
+rule = adproxgd
+
+[run.nmf]
+problem = nmf
+rule = adproxgd
+
+[run.dual_entropy]
+problem = dual_entropy
+rule = adproxgd
+
+[run.mle_armijo]
+problem = mle
+rule = armijo
+s = 1.2
+r = 0.5
+"""
+
+
+def test_artifacts_identical_across_blas_threads(tmp_path):
+    cfg = tmp_path / "blas.cfg"
+    cfg.write_text(BLAS_CELLS)
+    src = str(Path(adgd.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "adgd", "run", "--config", str(cfg),
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=600)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.suffix in (".csv", ".json")}
+    assert len(outputs["1"]) == 7   # five cells, summary.csv, meta.json
+    assert outputs["1"] == outputs["2"]

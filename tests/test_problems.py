@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from adgd.core import finite_difference_gradient
+from scipy.special import logsumexp
+
+from adgd.core import NumericalError, finite_difference_gradient
 from adgd.problems import (
     EXPERIMENT_KINDS,
+    _logsumexp,
     counterexample_f,
     instance_descriptor,
     instance_from_descriptor,
@@ -255,6 +258,31 @@ def test_dual_entropy_bounded_below_on_run():
     assert tr.F_final > -1e6
     late = tr.F_steps[-100:]
     assert late.max() - late.min() <= 1e-6 * (1 + abs(tr.F_final))
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    # scipy stays the oracle: the dual_entropy traces were produced with it
+    rng = np.random.default_rng(61)
+    for scale in (1e-3, 1.0, 30.0, 300.0):
+        for i in range(400):
+            a = scale * rng.normal(size=int(rng.integers(1, 160)))
+            if i % 4 == 0:
+                a[rng.integers(0, a.size, size=3)] = a.max()   # tied maxima
+            if i % 5 == 0:
+                a = np.round(a)                                 # ties below the max
+            assert _logsumexp(a) == logsumexp(a), (scale, i)
+    a = np.full(7, 2.5)
+    assert _logsumexp(a) == logsumexp(a)
+
+
+def test_dual_entropy_exponent_overflow_raises():
+    inst = make_dual_entropy(53, 8, 5)
+    x = np.zeros(9)
+    x[-1] = -800.0   # exponent s - mu - 1 > 700
+    with pytest.raises(NumericalError):
+        inst.composite.f.value(x)
+    with pytest.raises(NumericalError):
+        inst.composite.f.gradient(x)
 
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -380,6 +381,48 @@ def test_run_nan_gradient_raises_with_index():
 
     with pytest.raises(NumericalError):
         run_solver(Inst(), AdGD2(), RunConfig(max_iter=10, grad_tol=1e-10, alpha0=1.0))
+
+
+def _flat_problem(gradient, x0):
+    f = SmoothFunction(len(x0), lambda x: 0.0, gradient)
+    return SimpleNamespace(composite=composite(f), x0=np.array(x0), kind="custom")
+
+
+def _inf_below_half(x):
+    # 0.5 x^2 until the iterate drops below 0.5, then an infinite gradient
+    return np.asarray(x, dtype=float) if x[0] > 0.5 else np.array([math.inf])
+
+
+@pytest.mark.parametrize("rows", [True, False])
+def test_run_nonfinite_iterate_names_step(rows):
+    # steps 0 and 1 are finite (1 -> 0.7 -> 0.49); step 2 meets the infinite gradient
+    cfg = RunConfig(max_iter=10, grad_tol=1e-10, alpha0=0.3, record_rows=rows,
+                    record_trace=rows)
+    with pytest.raises(NumericalError, match="non-finite iterate at step 2 under rule adgd2"):
+        run_solver(_flat_problem(_inf_below_half, [1.0]), AdGD2(), cfg)
+
+
+@pytest.mark.parametrize("push", [1e12, 1e200])
+def test_run_huge_finite_iterate_diverges(push):
+    # 1e200 overflows ||x||^2 to inf while every entry stays finite
+    inst = _flat_problem(lambda x: np.array([-push, -push]), [1.0, 1.0])
+    for rows in (True, False):
+        tr = run_solver(inst, AdGD2(), RunConfig(max_iter=10, grad_tol=1e-10, alpha0=1.0,
+                                                 record_rows=rows, record_trace=rows))
+        assert tr.status == "diverged" and tr.iters == 1
+        assert np.all(np.isfinite(tr.x_final))
+
+
+def test_run_restores_floating_point_error_state():
+    with np.errstate(all="warn"):   # a state the loop's own settings differ from
+        before = np.geterr()
+        run_solver(make_counterexample(12.0), BadGD(1.0),
+                   RunConfig(max_iter=200, grad_tol=1e-12))
+        assert np.geterr() == before
+        with pytest.raises(NumericalError):
+            run_solver(_flat_problem(_inf_below_half, [1.0]), AdGD2(),
+                       RunConfig(max_iter=10, grad_tol=1e-10, alpha0=0.3))
+        assert np.geterr() == before
 
 
 def test_run_rejects_infeasible_start():
