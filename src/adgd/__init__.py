@@ -52,18 +52,15 @@ from .solvers import (
     BadGD,
     FixedStep,
     OldAdGD,
+    RULES,
     RunConfig,
-    SolverState,
+    StepsizeRule,
     Trace,
     armijo_search,
     curvature_estimate,
-    gd_step,
     initial_stepsize_search,
-    proxgd_step,
     recover_subgradient,
     run_solver,
-    stepsize_adgd1,
-    stepsize_adgd2,
 )
 
 __version__ = "0.1.0"

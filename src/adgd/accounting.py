@@ -102,19 +102,12 @@ def essential_units(kind: str, counters) -> float:
 
     Accepts a Counters or any object with the counter attributes.
     """
-    name, grad_weight = _ESSENTIAL.get(kind, ("oracle_calls", None))
-    if name == "projections":
-        return float(counters.projection_count)
-    if name == "svds":
-        return float(counters.svd_count)
-    net_func = counters.func_evals - counters.reused_evals
-    if grad_weight is not None:
-        return grad_weight * counters.grad_evals + net_func
-    return float(counters.grad_evals + net_func)
+    row = [getattr(counters, name) for name in COUNTER_FIELDS]
+    return float(essential_units_rows(kind, row)[0])
 
 
 def essential_units_rows(kind: str, counter_rows) -> np.ndarray:
-    """Vectorized ``essential_units`` over (n, 7) counter snapshots."""
+    """Essential-operation totals of (n, 7) counter snapshots, one per row."""
     rows = np.asarray(counter_rows, dtype=np.float64).reshape(-1, len(COUNTER_FIELDS))
     grad, func, proj = rows[:, 0], rows[:, 1], rows[:, 5]
     svd, reused = rows[:, 3], rows[:, 6]

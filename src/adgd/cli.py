@@ -33,6 +33,13 @@ EXIT_NUMERICAL = 3
 EXIT_DIAGNOSTICS = 4
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as the generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="adgd",
@@ -42,14 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a regenerable problem container")
     g.add_argument("--problem", required=True, choices=sorted(MAKERS))
-    g.add_argument("--seed", type=int, default=1)
+    g.add_argument("--seed", type=_seed, default=1)
     _scale_flags(g)
     g.add_argument("--out", required=True, help="output JSON path")
 
     r = sub.add_parser("run", help="run the experiment matrix from a config")
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the config output directory")
-    r.add_argument("--seed", type=int, default=None, help="override the config seed")
+    r.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     _scale_flags(r, default=None)
     r.add_argument("--check", action="store_true",
                    help="run diagnostics on the produced traces")
@@ -62,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rf = sub.add_parser("reference", help="compute or refresh a cached reference")
     rf.add_argument("--problem", required=True, choices=sorted(MAKERS))
-    rf.add_argument("--seed", type=int, default=1)
+    rf.add_argument("--seed", type=_seed, default=1)
     _scale_flags(rf)
     rf.add_argument("--cache", required=True, help="reference cache directory")
     rf.add_argument("--force", action="store_true")

@@ -10,6 +10,7 @@ their line number.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,17 +31,7 @@ from .problems import (
     make_problem,
 )
 from .reference import make_reference
-from .solvers import (
-    AdGD1,
-    AdGD2,
-    Armijo,
-    BadGD,
-    FixedStep,
-    OldAdGD,
-    RunConfig,
-    Trace,
-    run_solver,
-)
+from .solvers import RULES, AdGD2, Armijo, RunConfig, Trace, run_solver
 from .svgplot import gap_plot_svg
 
 DEFAULT_ARMIJO_PAIRS = [
@@ -63,36 +54,15 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def rule_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind in ("adproxgd", "adgd2"):
-        return AdGD2()
-    if kind == "adgd1":
-        return AdGD1()
-    if kind == "oldadgd":
-        return OldAdGD()
-    if kind == "fixed":
-        return FixedStep(alpha=float(d["alpha"]))
-    if kind == "armijo":
-        return Armijo(s=float(d["s"]), r=float(d["r"]))
-    if kind == "badgd":
-        return BadGD(c=float(d.get("c", 1.0)))
-    raise ConfigError(f"unknown rule kind {kind!r}")
+    params = dict(d)
+    kind = params.pop("kind", None)
+    if kind not in RULES:
+        raise ConfigError(f"unknown rule kind {kind!r}")
+    return RULES[kind](**{key: float(value) for key, value in params.items()})
 
 
 def rule_to_dict(rule) -> dict:
-    if isinstance(rule, AdGD2):
-        return {"kind": "adgd2"}
-    if isinstance(rule, AdGD1):
-        return {"kind": "adgd1"}
-    if isinstance(rule, OldAdGD):
-        return {"kind": "oldadgd"}
-    if isinstance(rule, FixedStep):
-        return {"kind": "fixed", "alpha": rule.alpha}
-    if isinstance(rule, Armijo):
-        return {"kind": "armijo", "s": rule.s, "r": rule.r}
-    if isinstance(rule, BadGD):
-        return {"kind": "badgd", "c": rule.c}
-    raise TypeError(f"unknown rule {rule!r}")
+    return {"kind": rule.kind, **dataclasses.asdict(rule)}
 
 
 @dataclass(frozen=True)
@@ -133,7 +103,6 @@ class ExperimentConfig:
 
 _EXPERIMENT_KEYS = {"name", "problem", "seed", "scale", "out", "plot",
                     "max_iter", "grad_tol", "alpha0", "reference"}
-_RUN_KEYS = {"problem", "rule", "s", "r", "alpha", "c"}
 _BOOL = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
@@ -229,36 +198,43 @@ def parse_config(text: str) -> ExperimentConfig:
                     cfg.reference = value
         elif name.startswith("run.") or name == "run":
             run_name = name[4:] or f"run{len(runs)}"
-            rule_kind = None
-            params = {}
-            problem = None
-            for key, (value, ln) in items.items():
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [{name}]", ln)
-                if key == "problem":
-                    if value not in MAKERS:
-                        raise ConfigError(f"unknown problem {value!r}", ln)
-                    problem = value
-                elif key == "rule":
-                    rule_kind = value
-                else:
-                    params[key] = _want_float(value, ln, key)
+            params = dict(items)
+            problem, _ = params.pop("problem", (None, None))
+            rule_kind, rule_ln = params.pop("rule", (None, None))
             if rule_kind is None:
                 raise ConfigError(f"[{name}] is missing a rule", lineno)
             if problem is None:
                 raise ConfigError(f"[{name}] is missing a problem", lineno)
-            try:
-                rule = rule_from_dict({"kind": rule_kind, **params})
-            except (KeyError, ValueError):  # the rules reject invalid parameters
-                raise ConfigError(
-                    f"rule {rule_kind!r} with params {sorted(params)} is invalid", lineno)
-            runs.append(RunSpec(run_name, problem, rule))
+            if problem not in MAKERS:
+                raise ConfigError(f"unknown problem {problem!r}", items["problem"][1])
+            runs.append(RunSpec(run_name, problem, _parse_rule(name, lineno, rule_kind,
+                                                               rule_ln, params)))
         else:
             raise ConfigError(f"unknown section [{name}]", lineno)
     if not seen_experiment:
         raise ConfigError("missing [experiment] section")
     cfg.runs = runs
     return cfg
+
+
+def _parse_rule(section, lineno, kind, kind_ln, params):
+    """The rule of a [run.*] section; ``params`` maps key -> (value, line)."""
+    cls = RULES.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown rule kind {kind!r}", kind_ln)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, (_, ln) in params.items():
+        if key not in fields:
+            raise ConfigError(f"unknown key {key!r} in [{section}] for rule {kind!r}", ln)
+    missing = [key for key, f in fields.items()
+               if f.default is dataclasses.MISSING and key not in params]
+    if missing:
+        raise ConfigError(f"rule {kind!r} in [{section}] needs {', '.join(missing)}", lineno)
+    values = {key: _want_float(value, ln, key) for key, (value, ln) in params.items()}
+    try:
+        return cls(**values)
+    except ValueError:  # the rules reject invalid parameters
+        raise ConfigError(f"rule {kind!r} with params {sorted(values)} is invalid", lineno)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -347,7 +323,7 @@ def run_experiment(config: ExperimentConfig, record_traces: bool = False) -> Lis
         inst = instances[spec.problem]
         run_cfg = RunConfig(max_iter=config.max_iter, grad_tol=config.grad_tol,
                             alpha0=config.alpha0, record_trace=record_traces,
-                            record_rows=True, seed=config.seed)
+                            record_rows=True)
         trace = run_solver(inst, spec.rule, run_cfg)
         base = f"{spec.problem}__{trace.rule_name}"
         csv_name = base + ".csv"
@@ -508,7 +484,7 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
         rule = rule_from_dict(cell["rule"])
         cfg = RunConfig(max_iter=meta["max_iter"], grad_tol=meta["grad_tol"],
                         alpha0=meta["alpha0"], record_trace=True,
-                        record_rows=True, seed=meta["seed"])
+                        record_rows=True)
         trace = run_solver(inst, rule, cfg)
         stored = (run_dir / cell["csv"]).read_text(encoding="utf-8")
         regenerated = trace_csv_text(trace)

@@ -187,14 +187,9 @@ def dual_entropy_domain(m: int, feas_tol: float = 1e-9) -> ProxFriendly:
     def value(x):
         return 0.0 if np.min(x[:m], initial=0.0) >= -feas_tol else np.inf
 
-    def prox(alpha, z):
-        out = np.array(z, dtype=np.float64)
-        out[:m] = np.maximum(out[:m], 0.0)
-        return out
-
     return ProxFriendly(
         value=value,
-        prox=prox,
+        prox=lambda alpha, z: prox_dual_entropy_domain(z, m),
         name="dual_entropy_domain",
         cost={"projection_count": 1},
     )

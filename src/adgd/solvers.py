@@ -1,4 +1,4 @@
-"""Stepsize rules and iteration loops.
+"""Stepsize rules and the iteration loop.
 
 All rules share one loop: measure the local curvature from the last two
 gradients, pick a stepsize, take a (proximal) gradient step.  The adaptive
@@ -43,51 +43,101 @@ class StationaryStep(RuntimeError):
 # Stepsize rules
 # ---------------------------------------------------------------------------
 
+class StepsizeRule:
+    """What the loop asks of a rule.
+
+    ``kind`` names the rule in configs and run metadata; the dataclass fields
+    of a subclass are its parameters.  Every rule but the linesearch one has
+    ``stepsize(alpha_prev, theta_prev, L)``: alpha_k from alpha_{k-1},
+    theta_{k-1} and the curvature estimate L_k.
+    """
+    kind = ""
+    theta0 = 0.0             # theta_0, which the first step reports
+    prox_ok = False          # valid with a prox-friendly part
+    linesearch = False       # steps come from armijo_search, not stepsize
+    fixed_alpha0 = None      # alpha_0 regardless of the run's setting
+    divergent = False        # a non-finite iterate ends the run as diverged
+
+    @property
+    def name(self) -> str:
+        return self.kind
+
+    def trace_name(self, prox_run: bool) -> str:
+        return self.name
+
+
 @dataclass(frozen=True)
-class AdGD1:
+class AdGD1(StepsizeRule):
     """min{ sqrt(1 + theta) * alpha_prev, 1 / (sqrt(2) L_k) }."""
-    theta0: float = 0.0
-    name: str = "adgd1"
+    kind = "adgd1"
+
+    def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
+        growth = math.sqrt(1.0 + theta_prev) * alpha_prev
+        curv = math.inf if L == 0.0 else 1.0 / (math.sqrt(2.0) * L)
+        return min(growth, curv)
 
 
 @dataclass(frozen=True)
-class AdGD2:
+class AdGD2(StepsizeRule):
     """min{ sqrt(2/3 + theta) * alpha_prev, alpha_prev / sqrt([2 a^2 L^2 - 1]_+) }.
 
     With a prox-friendly part present this is the adaptive proximal gradient
     method; the stepsize rule is identical.
     """
-    theta0: float = 1.0 / 3.0
-    name: str = "adgd2"
+    kind = "adgd2"
+    theta0 = 1.0 / 3.0
+    prox_ok = True
+
+    def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
+        growth = math.sqrt(2.0 / 3.0 + theta_prev) * alpha_prev
+        t = alpha_prev * L  # product first: avoids overflow in alpha^2 L^2
+        bracket = 2.0 * t * t - 1.0
+        curv = math.inf if bracket <= 0.0 else alpha_prev / math.sqrt(bracket)
+        return min(growth, curv)
+
+    def trace_name(self, prox_run: bool) -> str:
+        return "adproxgd" if prox_run else self.kind
 
 
 @dataclass(frozen=True)
-class OldAdGD:
+class OldAdGD(StepsizeRule):
     """min{ sqrt(1 + theta) * alpha_prev, 1 / (2 L_k) }."""
-    theta0: float = 0.0
-    name: str = "oldadgd"
+    kind = "oldadgd"
+
+    def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
+        growth = math.sqrt(1.0 + theta_prev) * alpha_prev
+        curv = math.inf if L == 0.0 else 1.0 / (2.0 * L)
+        return min(growth, curv)
 
 
 @dataclass(frozen=True)
-class FixedStep:
-    alpha: float = 1.0
-    theta0: float = 1.0
+class FixedStep(StepsizeRule):
+    alpha: float
+    kind = "fixed"
+    theta0 = 1.0
+    prox_ok = True
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("fixed stepsize must be positive")
 
     @property
-    def name(self) -> str:
-        return "fixed"
+    def fixed_alpha0(self) -> float:
+        return self.alpha
+
+    def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
+        return self.alpha
 
 
 @dataclass(frozen=True)
-class Armijo:
+class Armijo(StepsizeRule):
     """Backtracking from s * alpha_prev with ratio r."""
-    s: float = 1.2
-    r: float = 0.5
-    theta0: float = 1.0
+    s: float
+    r: float
+    kind = "armijo"
+    theta0 = 1.0
+    prox_ok = True
+    linesearch = True
 
     def __post_init__(self):
         if not self.s > 1:
@@ -101,10 +151,12 @@ class Armijo:
 
 
 @dataclass(frozen=True)
-class BadGD:
+class BadGD(StepsizeRule):
     """alpha_k = 1 / (c L_k) with no growth bound; diverges by design."""
     c: float = 1.0
-    theta0: float = 0.0
+    kind = "badgd"
+    fixed_alpha0 = 1.0
+    divergent = True
 
     def __post_init__(self):
         if self.c < 1:
@@ -114,29 +166,15 @@ class BadGD:
     def name(self) -> str:
         return f"badgd_c{self.c:g}"
 
+    def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
+        if L == 0.0:
+            return ALPHA_CLAMP
+        return min(1.0 / (self.c * L), ALPHA_CLAMP)
 
-StepsizeRule = Union[AdGD1, AdGD2, OldAdGD, FixedStep, Armijo, BadGD]
 
-GD_RULES = (AdGD1, AdGD2, OldAdGD, FixedStep, Armijo, BadGD)
-PROX_RULES = (AdGD2, FixedStep, Armijo)
-
-
-# ---------------------------------------------------------------------------
-# Single-step pieces
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SolverState:
-    """Two-iterate window every stepsize rule reads."""
-    k: int
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    grad_prev: np.ndarray
-    grad_curr: np.ndarray
-    alpha: float          # alpha_{k-1}: stepsize that produced x_curr
-    alpha_prev: float
-    theta: float          # theta_{k-1} = alpha / alpha_prev (or the rule's theta0)
-    subgrad_curr: Optional[np.ndarray] = None
+# rule kind -> class, as configs and run metadata name them
+RULES = {cls.kind: cls for cls in (AdGD1, AdGD2, OldAdGD, FixedStep, Armijo, BadGD)}
+RULES["adproxgd"] = AdGD2
 
 
 def curvature_estimate(x_curr, x_prev, grad_curr, grad_prev) -> float:
@@ -153,32 +191,6 @@ def curvature_estimate(x_curr, x_prev, grad_curr, grad_prev) -> float:
     return math.sqrt(d @ d) / dx
 
 
-def stepsize_adgd1(state: SolverState, L_k: float) -> float:
-    growth = math.sqrt(1.0 + state.theta) * state.alpha
-    curv = math.inf if L_k == 0.0 else 1.0 / (math.sqrt(2.0) * L_k)
-    return min(growth, curv)
-
-
-def stepsize_adgd2(state: SolverState, L_k: float) -> float:
-    growth = math.sqrt(2.0 / 3.0 + state.theta) * state.alpha
-    t = state.alpha * L_k  # product first: avoids overflow in alpha^2 L^2
-    bracket = 2.0 * t * t - 1.0
-    curv = math.inf if bracket <= 0.0 else state.alpha / math.sqrt(bracket)
-    return min(growth, curv)
-
-
-def stepsize_old_adgd(state: SolverState, L_k: float) -> float:
-    growth = math.sqrt(1.0 + state.theta) * state.alpha
-    curv = math.inf if L_k == 0.0 else 1.0 / (2.0 * L_k)
-    return min(growth, curv)
-
-
-def stepsize_badgd(c: float, L_k: float) -> float:
-    if L_k == 0.0:
-        return ALPHA_CLAMP
-    return min(1.0 / (c * L_k), ALPHA_CLAMP)
-
-
 def recover_subgradient(x_next, x_curr, grad_curr, alpha: float) -> np.ndarray:
     """Subgradient of g at x_next implied by the proximal step.
 
@@ -189,73 +201,6 @@ def recover_subgradient(x_next, x_curr, grad_curr, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return (np.asarray(x_curr) - np.asarray(x_next)) / alpha - np.asarray(grad_curr)
-
-
-def _rule_alpha(rule, state: SolverState, L_k: float) -> float:
-    if isinstance(rule, AdGD1):
-        return stepsize_adgd1(state, L_k)
-    if isinstance(rule, AdGD2):
-        return stepsize_adgd2(state, L_k)
-    if isinstance(rule, OldAdGD):
-        return stepsize_old_adgd(state, L_k)
-    if isinstance(rule, BadGD):
-        return stepsize_badgd(rule.c, L_k)
-    if isinstance(rule, FixedStep):
-        return rule.alpha
-    raise TypeError(f"rule {rule!r} has no closed-form stepsize")
-
-
-def _advance(state: SolverState, x_next, grad_next, alpha: float,
-             subgrad_next=None) -> SolverState:
-    return SolverState(
-        k=state.k + 1,
-        x_prev=state.x_curr,
-        x_curr=x_next,
-        grad_prev=state.grad_curr,
-        grad_curr=grad_next,
-        alpha=alpha,
-        alpha_prev=state.alpha,
-        theta=alpha / state.alpha,
-        subgrad_curr=subgrad_next,
-    )
-
-
-def gd_step(state: SolverState, problem, rule, L_k: Optional[float] = None,
-            on_event: Optional[Callable] = None) -> SolverState:
-    """One gradient step under ``rule``; computes exactly one new gradient."""
-    comp = getattr(problem, "composite", problem)
-    if not isinstance(rule, (AdGD1, AdGD2, OldAdGD, FixedStep, BadGD)):
-        raise TypeError(f"gd_step does not accept rule {rule!r}")
-    if L_k is None:
-        L_k = curvature_estimate(state.x_curr, state.x_prev,
-                                 state.grad_curr, state.grad_prev)
-    alpha = _rule_alpha(rule, state, L_k)
-    x_next = state.x_curr - alpha * state.grad_curr
-    if not np.all(np.isfinite(x_next)) and not isinstance(rule, BadGD):
-        raise NumericalError(f"non-finite iterate at step {state.k}")
-    grad_next = _eval_gradient(comp, x_next, on_event) \
-        if np.all(np.isfinite(x_next)) else np.full_like(x_next, np.nan)
-    return _advance(state, x_next, grad_next, alpha)
-
-
-def proxgd_step(state: SolverState, problem, rule, L_k: Optional[float] = None,
-                on_event: Optional[Callable] = None) -> SolverState:
-    """One proximal gradient step; updates the recovered subgradient."""
-    comp = getattr(problem, "composite", problem)
-    if not isinstance(rule, PROX_RULES):
-        raise TypeError(f"proxgd_step does not accept rule {rule!r}")
-    if isinstance(rule, Armijo):
-        raise TypeError("use armijo_search for backtracking steps")
-    if L_k is None:
-        L_k = curvature_estimate(state.x_curr, state.x_prev,
-                                 state.grad_curr, state.grad_prev)
-    alpha = _rule_alpha(rule, state, L_k)
-    x_next = _eval_prox(comp, alpha, state.x_curr - alpha * state.grad_curr, on_event)
-    if not np.all(np.isfinite(x_next)):
-        raise NumericalError(f"non-finite iterate at step {state.k}")
-    v_next = recover_subgradient(x_next, state.x_curr, state.grad_curr, alpha)
-    grad_next = _eval_gradient(comp, x_next, on_event)
-    return _advance(state, x_next, grad_next, alpha, subgrad_next=v_next)
 
 
 def _eval_gradient(comp, x, on_event):
@@ -276,25 +221,20 @@ def _eval_prox(comp, alpha, z, on_event):
     return comp.g.prox(alpha, z)
 
 
-def armijo_search(state: SolverState, problem, s: float, r: float,
-                  f_curr: Optional[float] = None,
+def armijo_search(comp, x, g, alpha_prev: float, s: float, r: float, f_curr: float,
                   on_event: Optional[Callable] = None):
     """Backtracking from s * alpha_prev: accept the first candidate with
 
-        f(y) <= f(x) + <grad f(x), y - x> + ||y - x||^2 / (2 alpha).
+        f(y) <= f(x) + <grad f(x), y - x> + ||y - x||^2 / (2 alpha),
 
-    Returns (alpha, x_next, f_next, ls_evals) where ls_evals counts the
-    trials performed; each trial costs one f evaluation (plus one prox when
-    the problem has a prox-friendly part).  The accepted evaluation is the
-    reusable one.
+    where ``g`` is grad f(x) and ``f_curr`` is f(x).  Returns (alpha, x_next,
+    f_next, ls_evals) where ls_evals counts the trials performed; each trial
+    costs one f evaluation (plus one prox when the problem has a prox-friendly
+    part).  The accepted evaluation is the reusable one.
     """
-    comp = getattr(problem, "composite", problem)
     prox_run = comp.has_prox_part
-    x, g = state.x_curr, state.grad_curr
-    if f_curr is None:
-        f_curr = _eval_value(comp, x, on_event)
     for i in range(MAX_LINESEARCH_TRIALS + 1):
-        alpha = s * (r ** i) * state.alpha
+        alpha = s * (r ** i) * alpha_prev
         z = x - alpha * g
         y = _eval_prox(comp, alpha, z, on_event) if prox_run else z
         f_y = _eval_value(comp, y, on_event)
@@ -311,9 +251,10 @@ def armijo_search(state: SolverState, problem, s: float, r: float,
 
 ALPHA0_LOW = 1.0 / math.sqrt(2.0)
 ALPHA0_HIGH = 2.0
+ALPHA0_CAP = 1e8
 
 
-def initial_stepsize_search(problem, x0=None, cap: float = 1e8,
+def initial_stepsize_search(problem, x0=None, cap: float = ALPHA0_CAP,
                             on_event: Optional[Callable] = None) -> float:
     """Pick alpha0 with alpha0 * L_1(alpha0) in [1/sqrt(2), 2].
 
@@ -330,8 +271,7 @@ def initial_stepsize_search(problem, x0=None, cap: float = 1e8,
             raise ValueError("x0 required when passing a bare composite problem")
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     g0 = _eval_gradient(comp, x0, on_event)
-    alpha0, _ = _alpha0_search(comp, x0, g0, cap, on_event)
-    return alpha0
+    return _alpha0_search(comp, x0, g0, cap, on_event)
 
 
 def _alpha0_search(comp, x0, g0, cap, on_event):
@@ -365,26 +305,24 @@ def _alpha0_search(comp, x0, g0, cap, on_event):
     alpha = min(1.0, cap)
     p = product(alpha)
     if ALPHA0_LOW <= p <= ALPHA0_HIGH:
-        return alpha, p
+        return alpha
     if p < ALPHA0_LOW:
         while alpha < cap:
             nxt = min(10.0 * alpha, cap)
             p_nxt = product(nxt)
             if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
-                return nxt, p_nxt
+                return nxt
             if p_nxt > ALPHA0_HIGH:
-                mid = bisect(alpha, nxt)
-                return mid, None
+                return bisect(alpha, nxt)
             alpha = nxt
-        return cap, None  # degenerate: product stays below the window
+        return cap  # degenerate: product stays below the window
     for _ in range(600):
         nxt = alpha / 10.0
         p_nxt = product(nxt)
         if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
-            return nxt, p_nxt
+            return nxt
         if p_nxt < ALPHA0_LOW:
-            mid = bisect(nxt, alpha)
-            return mid, None
+            return bisect(nxt, alpha)
         alpha = nxt
     raise NumericalError("initial stepsize search failed to terminate")
 
@@ -398,12 +336,9 @@ class RunConfig:
     max_iter: int = 1000
     grad_tol: float = 1e-8
     alpha0: Union[float, str] = "search"   # a float, or "search"
-    alpha0_cap: float = 1e8
     record_trace: bool = True   # keep iterates/gradients (certificate inputs)
     record_rows: bool = True    # keep per-step scalars (CSV rows)
-    seed: int = 0
     curvature_override: Optional[float] = None
-    x0: Optional[np.ndarray] = None
     divergence_norm: float = DIVERGENCE_NORM
 
     def __post_init__(self):
@@ -485,7 +420,8 @@ def _objective(comp, x, f_val=None) -> float:
 
 
 def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
-    """Run ``rule`` on ``problem`` until the gradient-mapping surrogate
+    """Run ``rule`` on ``problem`` from ``problem.x0`` until the
+    gradient-mapping surrogate
 
         ||x^{k+1} - x^k|| / alpha_k <= grad_tol
 
@@ -496,8 +432,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     """
     comp = getattr(problem, "composite", problem)
     prox_run = comp.has_prox_part
-    allowed = PROX_RULES if prox_run else GD_RULES
-    if not isinstance(rule, allowed):
+    if prox_run and not rule.prox_ok:
         raise TypeError(f"rule {rule!r} is not valid for this problem")
 
     counters = Counters()
@@ -506,32 +441,26 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     def on_event(kind):
         apply_event(counters, cost_model, kind)
 
-    x0 = np.array(getattr(problem, "x0", None) if config.x0 is None else config.x0,
-                  dtype=np.float64)
+    x0 = np.array(problem.x0, dtype=np.float64)
     comp.f.check_dim(x0)
     if prox_run and comp.g.value(x0) == np.inf:
         raise ValueError("starting point is not in the domain of g")
 
-    armijo = isinstance(rule, Armijo)
-    f_curr = _eval_value(comp, x0, on_event) if armijo else None
+    linesearch = rule.linesearch
+    f_curr = _eval_value(comp, x0, on_event) if linesearch else None
     g0 = _eval_gradient(comp, x0, on_event)
-    if armijo:
+    if linesearch:
         on_event("reuse")  # f(x0) work feeds the gradient at the same point
 
-    if isinstance(rule, BadGD):
-        alpha0 = 1.0
-        searched = False
-    elif isinstance(rule, FixedStep):
-        alpha0 = rule.alpha
-        searched = False
-    elif config.alpha0 == "search":
-        alpha0, _ = _alpha0_search(comp, x0, g0, config.alpha0_cap, on_event)
-        searched = True
+    searched = rule.fixed_alpha0 is None and config.alpha0 == "search"
+    if rule.fixed_alpha0 is not None:
+        alpha0 = rule.fixed_alpha0
+    elif searched:
+        alpha0 = _alpha0_search(comp, x0, g0, ALPHA0_CAP, on_event)
     else:
         alpha0 = float(config.alpha0)
-        searched = False
 
-    rule_name = "adproxgd" if (prox_run and isinstance(rule, AdGD2)) else rule.name
+    rule_name = rule.trace_name(prox_run)
     trace = Trace(
         problem_label=comp.label,
         problem_kind=getattr(problem, "kind", "custom"),
@@ -556,58 +485,44 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
     x_prev, x_curr = None, x0
     g_prev, g_curr = None, g0
-    alpha_prev_step = alpha0      # alpha_{k-1} entering the loop body
-    theta_prev = rule.theta0
+    alpha_prev, theta_prev = alpha0, rule.theta0   # alpha_{k-1}, theta_{k-1}
+    override = config.curvature_override
     status = "max_iter"
     F_next = math.nan
     steps_taken = 0
 
-    badgd = isinstance(rule, BadGD)
     # one error state for the whole loop: a diverging rule overflows on purpose
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iter):
-            if k == 0:
-                L_k = 0.0 if config.curvature_override is None else config.curvature_override
-                if armijo:
-                    alpha_k, x_next, f_next, _ = armijo_search(
-                        SolverState(k=0, x_prev=x_curr, x_curr=x_curr, grad_prev=g_curr,
-                                    grad_curr=g_curr, alpha=alpha0, alpha_prev=alpha0,
-                                    theta=rule.theta0),
-                        comp, rule.s, rule.r, f_curr=f_curr, on_event=on_event)
-                    theta_k = alpha_k / alpha0
-                else:
-                    alpha_k = alpha0
-                    z = x_curr - alpha_k * g_curr
-                    x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
-                    f_next = None
-                    theta_k = rule.theta0
+            if override is not None:
+                L_k = override
+            elif k == 0:
+                L_k = 0.0
             else:
-                if config.curvature_override is not None:
-                    L_k = config.curvature_override
+                try:
+                    L_k = curvature_estimate(x_curr, x_prev, g_curr, g_prev)
+                except StationaryStep:
+                    status = "converged"
+                    break
+            if linesearch:
+                alpha_k, x_next, f_next, _ = armijo_search(
+                    comp, x_curr, g_curr, alpha_prev, rule.s, rule.r, f_curr, on_event)
+                theta_k = alpha_k / alpha_prev
+            else:
+                if k == 0:   # the first step takes alpha_0 and reports theta_0
+                    alpha_k, theta_k = alpha0, rule.theta0
                 else:
-                    try:
-                        L_k = curvature_estimate(x_curr, x_prev, g_curr, g_prev)
-                    except StationaryStep:
-                        status = "converged"
-                        break
-                state = SolverState(k=k, x_prev=x_prev, x_curr=x_curr, grad_prev=g_prev,
-                                    grad_curr=g_curr, alpha=alpha_prev_step,
-                                    alpha_prev=alpha_prev_step, theta=theta_prev)
-                if armijo:
-                    alpha_k, x_next, f_next, _ = armijo_search(
-                        state, comp, rule.s, rule.r, f_curr=f_curr, on_event=on_event)
-                else:
-                    alpha_k = _rule_alpha(rule, state, L_k)
-                    z = x_curr - alpha_k * g_curr
-                    x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
-                    f_next = None
-                theta_k = alpha_k / alpha_prev_step
+                    alpha_k = rule.stepsize(alpha_prev, theta_prev, L_k)
+                    theta_k = alpha_k / alpha_prev
+                z = x_curr - alpha_k * g_curr
+                x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
+                f_next = None
 
             # ||x_next||^2 serves the finiteness and the divergence test; it is
             # inf for a huge finite iterate, so only then are entries inspected
             sq = x_next @ x_next
             finite = math.isfinite(sq) or bool(np.all(np.isfinite(x_next)))
-            if not finite and not badgd:
+            if not finite and not rule.divergent:
                 raise NumericalError(f"non-finite iterate at step {k} under rule {rule_name}")
 
             if finite:
@@ -636,28 +551,15 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
             if not finite or math.sqrt(sq) > config.divergence_norm:
                 status = "diverged"
-                x_prev, x_curr = x_curr, x_next
-                g_prev = g_curr
-                g_curr = None
-                alpha_prev_step, theta_prev = alpha_k, theta_k
-                break
-
-            if step_norm / alpha_k <= config.grad_tol:
+            elif step_norm / alpha_k <= config.grad_tol:
                 status = "converged"
-                x_prev, x_curr = x_curr, x_next
-                g_prev = g_curr
-                g_curr = None
-                alpha_prev_step, theta_prev = alpha_k, theta_k
-                break
-
-            x_prev, x_curr = x_curr, x_next
-            g_prev = g_curr
-            alpha_prev_step, theta_prev = alpha_k, theta_k
-            if k == config.max_iter - 1:
-                g_curr = None  # budget exhausted: the next gradient is never needed
-                continue
+            x_prev, x_curr, g_prev = x_curr, x_next, g_curr
+            alpha_prev, theta_prev = alpha_k, theta_k
+            g_curr = None
+            if status != "max_iter" or k == config.max_iter - 1:
+                break   # a finished run never needs the next gradient
             g_curr = _eval_gradient(comp, x_curr, on_event)
-            if armijo:
+            if linesearch:
                 on_event("reuse")  # accepted trial's work feeds this gradient
                 f_curr = f_next
             if record:

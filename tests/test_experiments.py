@@ -17,13 +17,15 @@ from adgd.experiments import (
     plot_run_dir,
     read_trace_csv,
     row_essential_units,
+    rule_from_dict,
+    rule_to_dict,
     run_experiment,
 )
 from adgd.cli import main as cli_main
 import adgd
 from adgd.problems import make_nmf, make_quadratic
 from adgd.reference import make_reference, reference_path
-from adgd.solvers import AdGD2, Armijo
+from adgd.solvers import RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD
 
 GOOD_CONFIG = """
 # minimal experiment
@@ -119,6 +121,44 @@ def test_invalid_rule_parameter_reports_line():
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("[experiment]\nname = x\n[run.a]\nproblem = mle\n"
                      "rule = armijo\ns = 0.5\nr = 0.5\n")
+
+
+@pytest.mark.parametrize("rule, missing", [
+    ("fixed", ""), ("armijo", "s = 1.2\n"), ("armijo", "r = 0.5\n"),
+])
+def test_rule_missing_parameter_reports_section_line(rule, missing):
+    with pytest.raises(ConfigError, match="line 3"):
+        parse_config(f"[experiment]\nname = x\n[run.a]\nproblem = mle\nrule = {rule}\n{missing}")
+
+
+@pytest.mark.parametrize("rule, key", [
+    ("adgd2", "s"), ("adproxgd", "alpha"), ("fixed", "c"), ("armijo", "alpha"), ("badgd", "r"),
+])
+def test_rule_foreign_parameter_reports_its_line(rule, key):
+    required = {"fixed": "alpha = 0.1\n", "armijo": "s = 1.2\nr = 0.5\n"}.get(rule, "")
+    text = (f"[experiment]\nname = x\n[run.a]\nproblem = mle\n{key} = 2\n"
+            f"rule = {rule}\n{required}")
+    with pytest.raises(ConfigError, match=rf"line 5\).*'{key}'"):
+        parse_config(text)
+
+
+def test_badgd_without_c_takes_its_default():
+    cfg = parse_config("[experiment]\nname = x\n[run.a]\nproblem = quadratic\nrule = badgd\n")
+    assert cfg.runs[0].rule == BadGD(1.0)
+
+
+def test_rule_dicts_round_trip_through_registry():
+    rules = [AdGD1(), AdGD2(), OldAdGD(), FixedStep(0.25), Armijo(1.5, 0.8), BadGD(2.0)]
+    assert sorted(RULES) == ["adgd1", "adgd2", "adproxgd", "armijo", "badgd", "fixed",
+                             "oldadgd"]
+    assert [rule_to_dict(r) for r in rules] == [
+        {"kind": "adgd1"}, {"kind": "adgd2"}, {"kind": "oldadgd"},
+        {"kind": "fixed", "alpha": 0.25}, {"kind": "armijo", "s": 1.5, "r": 0.8},
+        {"kind": "badgd", "c": 2.0}]
+    assert [rule_from_dict(rule_to_dict(r)) for r in rules] == rules
+    assert rule_from_dict({"kind": "adproxgd"}) == AdGD2()
+    with pytest.raises(ConfigError):
+        rule_from_dict({"kind": "newton"})
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +386,22 @@ def test_cli_run_check_plot_cycle(tmp_path):
     text[2] = ",".join(cells)
     victim.write_text("\n".join(text) + "\n")
     assert cli_main(["check", "--run", str(tmp_path / "out")]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--problem", "mle", "--out", "g.json"],
+    ["run", "--config", "c.ini"],
+    ["reference", "--problem", "mle", "--cache", "refs"],
+])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_cli_seed_must_be_nonnegative_integer(tmp_path, monkeypatch, capsys, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text("[experiment]\nreference = none\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
 def test_cli_scale_flag_changes_sizes(tmp_path):

@@ -22,18 +22,13 @@ from adgd.solvers import (
     LinesearchStalled,
     OldAdGD,
     RunConfig,
-    SolverState,
     StationaryStart,
     StationaryStep,
     armijo_search,
     curvature_estimate,
-    gd_step,
     initial_stepsize_search,
-    proxgd_step,
     recover_subgradient,
     run_solver,
-    stepsize_adgd1,
-    stepsize_adgd2,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -45,11 +40,18 @@ def half_sq(n=1, scale=1.0):
                           lipschitz=scale)
 
 
-def state(x_prev, x_curr, g_prev, g_curr, alpha, theta):
-    to = lambda v: np.atleast_1d(np.asarray(v, dtype=float))
-    return SolverState(k=1, x_prev=to(x_prev), x_curr=to(x_curr),
-                       grad_prev=to(g_prev), grad_curr=to(g_curr),
-                       alpha=alpha, alpha_prev=alpha, theta=theta)
+def vec(v):
+    return np.atleast_1d(np.asarray(v, dtype=float))
+
+
+def instance(comp, x0):
+    return SimpleNamespace(composite=comp, x0=vec(x0), kind="custom")
+
+
+def two_steps(comp, x0, alpha0, rule):
+    """Trace of a 2-step run from x0; its xs hold x^0, x^1 and x^2."""
+    return run_solver(instance(comp, x0), rule,
+                      RunConfig(max_iter=2, grad_tol=1e-300, alpha0=alpha0))
 
 
 # ---------------------------------------------------------------------------
@@ -82,86 +84,61 @@ def test_curvature_stationary_raises():
 # ---------------------------------------------------------------------------
 
 def test_adgd1_curvature_bound_loose():
-    st = state(0, 1, 0, 1, alpha=0.5, theta=0.0)
-    assert stepsize_adgd1(st, 1.0) == 0.5
+    assert AdGD1().stepsize(0.5, 0.0, 1.0) == 0.5
 
 
 def test_adgd1_flat_region_uses_growth():
-    st = state(0, 1, 0, 1, alpha=1.0, theta=0.0)
-    assert stepsize_adgd1(st, 0.0) == 1.0
+    assert AdGD1().stepsize(1.0, 0.0, 0.0) == 1.0
 
 
 def test_adgd1_curvature_bound_binds():
-    st = state(0, 1, 0, 1, alpha=1.0, theta=1.0)
-    assert abs(stepsize_adgd1(st, 10.0) - 1.0 / (10.0 * SQ2)) <= 1e-16
+    assert abs(AdGD1().stepsize(1.0, 1.0, 10.0) - 1.0 / (10.0 * SQ2)) <= 1e-16
 
 
 def test_adgd2_negative_bracket_uses_growth():
-    st = state(0, 1, 0, 1, alpha=0.5, theta=1.0 / 3.0)
-    assert stepsize_adgd2(st, 1.0) == 0.5
+    assert AdGD2().stepsize(0.5, 1.0 / 3.0, 1.0) == 0.5
 
 
 def test_adgd2_fixed_step_is_invariant():
     L = 4.0
-    st = state(0, 1, 0, 1, alpha=1.0 / L, theta=1.0)
-    assert stepsize_adgd2(st, L) == 1.0 / L
+    assert AdGD2().stepsize(1.0 / L, 1.0, L) == 1.0 / L
 
 
 def test_adgd2_bracket_binds():
-    st = state(0, 1, 0, 1, alpha=1.0, theta=0.0)
-    assert abs(stepsize_adgd2(st, 2.0) - 1.0 / math.sqrt(7.0)) <= 1e-15
+    assert abs(AdGD2().stepsize(1.0, 0.0, 2.0) - 1.0 / math.sqrt(7.0)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
 # steps
 # ---------------------------------------------------------------------------
 
-def _two_point_start(comp, x0, alpha0, rule):
-    x0 = np.asarray(x0, dtype=float)
-    g0 = comp.f.gradient(x0)
-    x1 = comp.g.prox(alpha0, x0 - alpha0 * g0) if comp.has_prox_part \
-        else x0 - alpha0 * g0
-    return SolverState(k=1, x_prev=x0, x_curr=x1, grad_prev=g0,
-                       grad_curr=comp.f.gradient(x1), alpha=alpha0,
-                       alpha_prev=alpha0, theta=rule.theta0)
-
-
 def test_gd_step_adgd1_hand_iteration():
-    comp = composite(half_sq(1))
-    st = _two_point_start(comp, [2.0], 0.5, AdGD1())
-    assert st.x_curr[0] == 1.0
-    nxt = gd_step(st, comp, AdGD1())
-    assert nxt.x_curr[0] == 0.5
-    assert nxt.alpha == 0.5 and nxt.theta == 1.0
+    tr = two_steps(composite(half_sq(1)), [2.0], 0.5, AdGD1())
+    assert tr.xs[1][0] == 1.0
+    assert tr.xs[2][0] == 0.5
+    assert tr.alphas[1] == 0.5 and tr.thetas[1] == 1.0
 
 
 def test_gd_step_fixed_one_shot_quadratic():
     L = 4.0  # 1/L exact in binary, so the minimizer step lands exactly
-    comp = composite(half_sq(1, scale=L))
-    st = _two_point_start(comp, [2.0], 1e-3, FixedStep(1.0 / L))
-    nxt = gd_step(st, comp, FixedStep(1.0 / L))
-    assert nxt.x_curr[0] == 0.0
+    tr = two_steps(composite(half_sq(1, scale=L)), [2.0], 1e-3, FixedStep(1.0 / L))
+    assert tr.xs[1][0] == 0.0
+    assert tr.x_final[0] == 0.0
 
 
 def test_gd_step_old_variant_matches_hand_bounds():
-    comp = composite(half_sq(1))
-    st = _two_point_start(comp, [2.0], 0.5, OldAdGD())
-    nxt = gd_step(st, comp, OldAdGD())
+    tr = two_steps(composite(half_sq(1)), [2.0], 0.5, OldAdGD())
     # growth bound sqrt(1+0)*0.5 ties with curvature bound 1/(2 L_1), L_1 = 1
-    assert nxt.alpha == 0.5
-    assert nxt.x_curr[0] == 0.5
+    assert tr.alphas[1] == 0.5
+    assert tr.xs[2][0] == 0.5
 
 
 def test_proxgd_step_orthant_hand_example():
     f = SmoothFunction(1, lambda x: 0.5 * float((x[0] - 1.0) ** 2),
                        lambda x: np.array([x[0] - 1.0]))
-    comp = composite(f, nonneg_indicator())
-    st = SolverState(k=1, x_prev=np.array([-1.5]), x_curr=np.array([-1.0]),
-                     grad_prev=np.array([-2.5]), grad_curr=np.array([-2.0]),
-                     alpha=1.0, alpha_prev=1.0, theta=1.0)
-    nxt = proxgd_step(st, comp, FixedStep(1.0))
-    assert nxt.x_curr[0] == 1.0
-    assert nxt.subgrad_curr[0] == 0.0
+    tr = two_steps(composite(f, nonneg_indicator()), [0.0], 1.0, FixedStep(1.0))
+    assert tr.xs[1][0] == 1.0
+    assert tr.subgrads[1][0] == 0.0
 
 
 def test_proxgd_with_zero_prox_matches_gd_bitwise():
@@ -169,13 +146,12 @@ def test_proxgd_with_zero_prox_matches_gd_bitwise():
     plain = inst.composite
     wrapped = composite(plain.f, ProxFriendly(value=lambda x: 0.0,
                                               prox=lambda a, z: z, name="zero-ish"))
-    st_g = _two_point_start(plain, inst.x0, 0.01, AdGD2())
-    st_p = SolverState(**dict(st_g.__dict__))
-    for _ in range(20):
-        st_g = gd_step(st_g, plain, AdGD2())
-        st_p = proxgd_step(st_p, wrapped, AdGD2())
-        assert np.array_equal(st_g.x_curr, st_p.x_curr)
-        assert st_g.alpha == st_p.alpha
+    cfg = RunConfig(max_iter=20, grad_tol=1e-300, alpha0=0.01)
+    tr_g = run_solver(instance(plain, inst.x0), AdGD2(), cfg)
+    tr_p = run_solver(instance(wrapped, inst.x0), AdGD2(), cfg)
+    assert tr_g.iters == tr_p.iters == 20
+    assert np.array_equal(tr_g.xs, tr_p.xs)
+    assert np.array_equal(tr_g.alphas, tr_p.alphas)
 
 
 def test_proxgd_step_keeps_dual_entropy_feasible():
@@ -221,8 +197,7 @@ def test_recover_normal_cone_membership():
 def test_armijo_accepts_immediately_below_curvature():
     L, s = 1.0, 1.2
     f = composite(half_sq(1, scale=L))
-    st = state(1.1, 1.0, 1.1 * L, 1.0 * L, alpha=0.5 / s, theta=1.0)
-    alpha, y, fy, evals = armijo_search(st, f, s=s, r=0.5, f_curr=0.5)
+    alpha, y, fy, evals = armijo_search(f, vec(1.0), vec(1.0 * L), 0.5 / s, s, 0.5, 0.5)
     assert evals == 1
     assert alpha == 0.5
 
@@ -230,8 +205,7 @@ def test_armijo_accepts_immediately_below_curvature():
 def test_armijo_quadratic_matches_oracle_loop():
     s, r, alpha_prev = 1.2, 0.5, 4.0
     f = composite(half_sq(1))
-    st = state(1.2, 1.0, 1.2, 1.0, alpha=alpha_prev, theta=1.0)
-    alpha, y, fy, evals = armijo_search(st, f, s=s, r=r, f_curr=0.5)
+    alpha, y, fy, evals = armijo_search(f, vec(1.0), vec(1.0), alpha_prev, s, r, 0.5)
 
     # independent oracle: first i whose candidate passes the decrease test
     def oracle():
@@ -254,10 +228,8 @@ def test_armijo_counts_prox_per_trial():
     f = SmoothFunction(1, lambda x: 0.5 * float((x[0] - 1.0) ** 2),
                        lambda x: np.array([x[0] - 1.0]))
     comp = composite(f, nonneg_indicator())
-    st = state(0.4, 0.5, -0.6, -0.5, alpha=8.0, theta=1.0)
-    alpha, y, fy, evals = armijo_search(st, comp, s=1.2, r=0.5,
-                                        f_curr=comp.f.value(np.array([0.5])),
-                                        on_event=events.append)
+    alpha, y, fy, evals = armijo_search(comp, vec(0.5), vec(-0.5), 8.0, 1.2, 0.5,
+                                        comp.f.value(np.array([0.5])), events.append)
     assert events.count("prox") == evals
     assert events.count("value") == evals
 
@@ -265,9 +237,8 @@ def test_armijo_counts_prox_per_trial():
 def test_armijo_stalls_on_pathological_objective():
     f = SmoothFunction(1, lambda x: 1.0, lambda x: np.array([1.0]))
     comp = composite(f)
-    st = state(0.0, 0.0, 1.0, 1.0, alpha=1.0, theta=1.0)
     with pytest.raises(LinesearchStalled):
-        armijo_search(st, comp, s=1.2, r=0.9, f_curr=-10.0)
+        armijo_search(comp, vec(0.0), vec(1.0), 1.0, 1.2, 0.9, -10.0)
 
 
 # ---------------------------------------------------------------------------
