@@ -7,8 +7,9 @@ solver codepath serves everything.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -165,3 +166,55 @@ def cocoercivity_gap(f: SmoothFunction, x, y, lipschitz: float) -> float:
     y = as_point(y)
     dg = f.gradient(y) - f.gradient(x)
     return float(np.dot(dg, y - x) - np.dot(dg, dg) / lipschitz)
+
+
+# ---------------------------------------------------------------------------
+# Independent tasks over the usable CPUs
+# ---------------------------------------------------------------------------
+
+_TASK = None   # set only in a pool's worker: the function it runs
+
+
+def worker_count(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` independent tasks: one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tasks)
+
+
+def _enter_worker(fn) -> None:
+    global _TASK
+    _TASK = fn
+
+
+def _call_task(i: int):
+    return _TASK(i)
+
+
+def process_map(fn: Callable[[int], object], n_tasks: int) -> Iterator:
+    """Yield ``fn(0), ..., fn(n_tasks - 1)`` in order, computed on a fork pool.
+
+    The workers are forked, so they see ``fn`` and all it reads without
+    pickling: only the task index goes out and only the result, which must
+    pickle, comes back.  With one worker, without fork, or inside a worker,
+    this is the builtin ``map``.  The first task in index order that raises
+    raises here, and the tasks not yet started are cancelled.
+    """
+    workers = worker_count(n_tasks)
+    context = None
+    if workers > 1 and _TASK is None:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        yield from map(fn, range(n_tasks))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_enter_worker, initargs=(fn,))
+    try:
+        yield from pool.map(_call_task, range(n_tasks))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -20,7 +20,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .accounting import CSV_COUNTER_FIELDS, essential_metric_name, essential_units_rows
-from .core import ReferenceSolution
+from .core import ReferenceSolution, process_map
 from .diagnostics import run_certificates
 from .problems import (
     EXPERIMENT_KINDS,
@@ -207,8 +207,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[{name}] is missing a problem", lineno)
             if problem not in MAKERS:
                 raise ConfigError(f"unknown problem {problem!r}", items["problem"][1])
-            runs.append(RunSpec(run_name, problem, _parse_rule(name, lineno, rule_kind,
-                                                               rule_ln, params)))
+            rule = _parse_rule(name, lineno, rule_kind, rule_ln, params)
+            if problem in EXPERIMENT_KINDS and not rule.prox_ok:  # they have a prox part
+                raise ConfigError(f"rule {rule_kind!r} in [{name}] is not valid for "
+                                  f"problem {problem!r}, which has a prox part", lineno)
+            runs.append(RunSpec(run_name, problem, rule))
         else:
             raise ConfigError(f"unknown section [{name}]", lineno)
     if not seen_experiment:
@@ -306,25 +309,31 @@ class CellResult:
 def run_experiment(config: ExperimentConfig, record_traces: bool = False) -> List[CellResult]:
     """Execute every cell, writing one CSV per cell plus summary and metadata.
 
-    ``record_traces`` keeps full iterate histories on the returned traces
-    (needed when certificates run right after).
+    The cells run through ``process_map``; the files are written here, in
+    config order, as the traces come back.  ``record_traces`` keeps full
+    iterate histories on the returned traces (needed when certificates run
+    right after).
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = out / "references" if config.reference == "auto" else None
 
+    specs = config.resolved_runs()
     instances: dict = {}
+    for spec in specs:
+        if spec.problem not in instances:
+            instances[spec.problem] = make_problem(spec.problem, config.seed, config.scale)
+    run_cfg = RunConfig(max_iter=config.max_iter, grad_tol=config.grad_tol,
+                        alpha0=config.alpha0, record_trace=record_traces,
+                        record_rows=True)
+
+    def solve(i):
+        return run_solver(instances[specs[i].problem], specs[i].rule, run_cfg)
+
     references: dict = {}
     results: List[CellResult] = []
     used_names = set()
-    for spec in config.resolved_runs():
-        if spec.problem not in instances:
-            instances[spec.problem] = make_problem(spec.problem, config.seed, config.scale)
-        inst = instances[spec.problem]
-        run_cfg = RunConfig(max_iter=config.max_iter, grad_tol=config.grad_tol,
-                            alpha0=config.alpha0, record_trace=record_traces,
-                            record_rows=True)
-        trace = run_solver(inst, spec.rule, run_cfg)
+    for spec, trace in zip(specs, process_map(solve, len(specs))):
         base = f"{spec.problem}__{trace.rule_name}"
         csv_name = base + ".csv"
         i = 1
@@ -333,7 +342,7 @@ def run_experiment(config: ExperimentConfig, record_traces: bool = False) -> Lis
             csv_name = f"{base}_{i}.csv"
         used_names.add(csv_name)
         write_trace_csv(out / csv_name, trace)
-        results.append(CellResult(spec, inst, trace, csv_name))
+        results.append(CellResult(spec, instances[spec.problem], trace, csv_name))
 
     if config.reference == "auto":
         for kind, inst in instances.items():
@@ -470,36 +479,48 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
 
     Each cell is regenerated from its descriptor, rerun with the recorded
     settings, byte-compared against the stored CSV, and passed through the
-    applicable certificates.  Returns (lines, ok).
+    applicable certificates, one ``process_map`` task per cell.  Returns
+    (lines, ok), in cell order.
     """
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))
     if meta.get("format") != META_FORMAT:
         raise ValueError("unrecognized run metadata format")
     cache = run_dir / "references" if meta.get("reference") == "auto" else None
-    lines = []
-    ok = True
-    for cell in meta["cells"]:
-        inst = instance_from_descriptor(cell["problem"])
-        rule = rule_from_dict(cell["rule"])
-        cfg = RunConfig(max_iter=meta["max_iter"], grad_tol=meta["grad_tol"],
-                        alpha0=meta["alpha0"], record_trace=True,
-                        record_rows=True)
-        trace = run_solver(inst, rule, cfg)
-        stored = (run_dir / cell["csv"]).read_text(encoding="utf-8")
-        regenerated = trace_csv_text(trace)
-        tag = f"{cell['problem']['kind']}/{trace.rule_name}"
-        if stored != regenerated:
-            ok = False
-            lines.append(f"{tag:36s} trace_reproduction          FAIL  stored CSV differs")
-            continue
-        lines.append(f"{tag:36s} trace_reproduction          PASS")
-        reference = None
-        if cache is not None and inst.convex:
-            reference = make_reference(inst, cache)
-        for rep in run_certificates(inst, trace, reference):
+    cells = meta["cells"]
+    # instances, references and rules are built here, once, before any worker
+    # starts: no two workers ever build the same reference
+    keys = [json.dumps(cell["problem"], sort_keys=True) for cell in cells]
+    instances: dict = {}
+    references: dict = {}
+    for key, cell in zip(keys, cells):
+        if key not in instances:
+            inst = instances[key] = instance_from_descriptor(cell["problem"])
+            if cache is not None and inst.convex:
+                references[key] = make_reference(inst, cache)
+    rules = [rule_from_dict(cell["rule"]) for cell in cells]
+    cfg = RunConfig(max_iter=meta["max_iter"], grad_tol=meta["grad_tol"],
+                    alpha0=meta["alpha0"], record_trace=True, record_rows=True)
+
+    def certify(i):
+        inst = instances[keys[i]]
+        trace = run_solver(inst, rules[i], cfg)
+        stored = (run_dir / cells[i]["csv"]).read_text(encoding="utf-8")
+        tag = f"{cells[i]['problem']['kind']}/{trace.rule_name}"
+        if stored != trace_csv_text(trace):
+            return [f"{tag:36s} trace_reproduction          FAIL  stored CSV differs"], False
+        lines = [f"{tag:36s} trace_reproduction          PASS"]
+        ok = True
+        for rep in run_certificates(inst, trace, references.get(keys[i])):
             ok = ok and rep.passed
             lines.append(f"{tag:36s} {rep.to_line()}")
+        return lines, ok
+
+    lines = []
+    ok = True
+    for cell_lines, cell_ok in process_map(certify, len(cells)):
+        lines += cell_lines
+        ok = ok and cell_ok
     if reports_out is not None:
         Path(reports_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return lines, ok

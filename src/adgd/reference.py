@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ReferenceSolution
+from .core import ReferenceSolution, process_map
 from .problems import ProblemInstance, instance_descriptor, make_nmf
 from .solvers import AdGD2, RunConfig, run_solver
 
@@ -50,17 +50,25 @@ def reference_path(cache_dir, inst: ProblemInstance, grad_tol: float = REFERENCE
 
 
 def _save(path: Path, ref: ReferenceSolution, settings: str) -> None:
+    """Write through a temp file of this writer's own, then rename it into place,
+    so writers of one key at the same time never touch each other's file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(
-        tmp,
-        x_star=ref.x_star,
-        F_star=np.float64(ref.F_star),
-        tolerance=np.float64(ref.tolerance),
-        provenance=np.str_(ref.provenance),
-        settings=np.str_(settings),
-    )
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")  # exclusive create: the name is this writer's alone
+    try:
+        with fh:
+            np.savez(
+                fh,
+                x_star=ref.x_star,
+                F_star=np.float64(ref.F_star),
+                tolerance=np.float64(ref.tolerance),
+                provenance=np.str_(ref.provenance),
+                settings=np.str_(settings),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load(path: Path, settings: str) -> Optional[ReferenceSolution]:
@@ -91,12 +99,16 @@ def _solve_reference(inst: ProblemInstance, grad_tol: float, max_iter: int) -> R
 
 def _solve_nmf_reference(inst: ProblemInstance, grad_tol: float, max_iter: int) -> ReferenceSolution:
     meta = inst.metadata
+    variants = [make_nmf(inst.generator_seed, meta["n"], meta["r"], start_index=restart)
+                for restart in range(NMF_RESTARTS)]
+    cfg = RunConfig(max_iter=max_iter, grad_tol=grad_tol,
+                    record_trace=False, record_rows=False)
+
+    def solve(restart):
+        return run_solver(variants[restart], AdGD2(), cfg)
+
     best = None
-    for restart in range(NMF_RESTARTS):
-        variant = make_nmf(inst.generator_seed, meta["n"], meta["r"], start_index=restart)
-        tr = run_solver(variant, AdGD2(),
-                        RunConfig(max_iter=max_iter, grad_tol=grad_tol,
-                                  record_trace=False, record_rows=False))
+    for tr in process_map(solve, NMF_RESTARTS):
         if best is None or tr.F_final < best.F_final:
             best = tr
     return ReferenceSolution(

@@ -483,7 +483,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         subgrads.append(np.zeros_like(x0))
         F_vals.append(trace.F_initial)
 
-    x_prev, x_curr = None, x0
+    x_curr = x0
     g_prev, g_curr = None, g0
     alpha_prev, theta_prev = alpha0, rule.theta0   # alpha_{k-1}, theta_{k-1}
     override = config.curvature_override
@@ -498,12 +498,10 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 L_k = override
             elif k == 0:
                 L_k = 0.0
-            else:
-                try:
-                    L_k = curvature_estimate(x_curr, x_prev, g_curr, g_prev)
-                except StationaryStep:
-                    status = "converged"
-                    break
+            else:   # curvature_estimate; ||x^k - x^{k-1}|| is the last step's norm,
+                    # which is positive: a zero step stopped the run as converged
+                d = g_curr - g_prev
+                L_k = math.sqrt(d @ d) / step_norm
             if linesearch:
                 alpha_k, x_next, f_next, _ = armijo_search(
                     comp, x_curr, g_curr, alpha_prev, rule.s, rule.r, f_curr, on_event)
@@ -553,7 +551,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 status = "diverged"
             elif step_norm / alpha_k <= config.grad_tol:
                 status = "converged"
-            x_prev, x_curr, g_prev = x_curr, x_next, g_curr
+            x_curr, g_prev = x_next, g_curr
             alpha_prev, theta_prev = alpha_k, theta_k
             g_curr = None
             if status != "max_iter" or k == config.max_iter - 1:

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from adgd.experiments import (
 )
 from adgd.cli import main as cli_main
 import adgd
-from adgd.problems import make_nmf, make_quadratic
+from adgd.problems import EXPERIMENT_KINDS, make_nmf, make_quadratic
 from adgd.reference import make_reference, reference_path
 from adgd.solvers import RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD
 
@@ -140,6 +141,23 @@ def test_rule_foreign_parameter_reports_its_line(rule, key):
             f"rule = {rule}\n{required}")
     with pytest.raises(ConfigError, match=rf"line 5\).*'{key}'"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("rule", sorted(k for k, cls in RULES.items() if not cls.prox_ok))
+@pytest.mark.parametrize("problem", EXPERIMENT_KINDS)
+def test_rule_invalid_for_prox_problem_reports_section_line(problem, rule):
+    with pytest.raises(ConfigError, match=rf"line 3\).*{rule}.*not valid"):
+        parse_config(f"[experiment]\nname = x\n[run.a]\nproblem = {problem}\nrule = {rule}\n")
+    # a smooth problem takes every rule
+    parse_config(f"[experiment]\nname = x\n[run.a]\nproblem = quadratic\nrule = {rule}\n")
+
+
+def test_cli_rule_invalid_for_problem_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[experiment]\nreference = none\n\n[run.a]\nproblem = mle\nrule = adgd1\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "(line 4)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_badgd_without_c_takes_its_default():
@@ -330,6 +348,30 @@ def test_reference_cache_rejects_file_of_other_settings(tmp_path):
     reference_path(tmp_path, inst, grad_tol=1e-6).replace(reference_path(tmp_path, inst))
     tight = make_reference(inst, tmp_path)
     assert "grad_tol=1e-12" in tight.provenance and tight.tolerance < loose.tolerance
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the writers are forked processes")
+def test_reference_cache_concurrent_writers(tmp_path):
+    inst = make_quadratic(85, 10, 10.0)
+
+    def build():
+        for _ in range(25):
+            make_reference(inst, tmp_path, force=True)
+
+    context = multiprocessing.get_context("fork")
+    writers = [context.Process(target=build) for _ in range(2)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    assert [w.exitcode for w in writers] == [0, 0]
+    path = reference_path(tmp_path, inst)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]   # no temp file left
+    stamp = path.stat().st_mtime_ns
+    ref = make_reference(inst, tmp_path)   # loads: a cache hit rewrites nothing
+    assert path.stat().st_mtime_ns == stamp
+    assert np.linalg.norm(ref.x_star - inst.solution) <= 1e-10
 
 
 def test_reference_nmf_best_found(tmp_path):

@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from adgd.core import NumericalError, finite_difference_gradient
 from adgd.problems import (
     EXPERIMENT_KINDS,
+    MAKERS,
     _logsumexp,
     counterexample_f,
     instance_descriptor,
@@ -289,3 +290,10 @@ def test_dual_entropy_exponent_overflow_raises():
 def test_scales_defined(kind):
     desk = make_problem(kind, seed=9, scale="desk")
     assert desk.dimension >= 1
+
+
+def test_experiment_kinds_are_the_kinds_with_a_prox_part():
+    # parse_config rejects rules without prox support on EXPERIMENT_KINDS
+    with_prox = {kind for kind in MAKERS
+                 if make_problem(kind, seed=1, scale="desk").composite.has_prox_part}
+    assert with_prox == set(EXPERIMENT_KINDS)

@@ -306,6 +306,20 @@ def test_run_badgd_diverges():
     assert tr.iters <= 200
 
 
+@pytest.mark.parametrize("make, rule", [
+    (lambda: make_least_squares(70, 30, 12), AdGD1()),
+    (lambda: make_dual_entropy(71, 15, 8), AdGD2()),
+    (lambda: make_quadratic(72, 10, 50.0), Armijo(1.5, 0.5)),
+])
+def test_run_curvature_is_curvature_estimate_bitwise(make, rule):
+    # the loop takes ||x^k - x^{k-1}|| from the step before; same bits as the function
+    tr = run_solver(make(), rule, RunConfig(max_iter=60, grad_tol=1e-14))
+    assert tr.iters > 10
+    for k in range(1, tr.iters):
+        assert tr.curvatures[k] == curvature_estimate(tr.xs[k], tr.xs[k - 1],
+                                                      tr.grads[k], tr.grads[k - 1])
+
+
 def test_run_single_iteration_budget():
     inst = make_quadratic(65, 5, 10.0)
     tr = run_solver(inst, AdGD2(), RunConfig(max_iter=1, grad_tol=1e-16, alpha0=0.01))
