@@ -87,6 +87,15 @@ def files(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
 
 
+def test_worker_count_leaves_few_tasks_serial(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    per = adgd.core.MIN_TASKS_PER_WORKER
+    assert [adgd.core.worker_count(n) for n in (0, 1, per, 2 * per - 1)] == [1, 1, 1, 1]
+    assert adgd.core.worker_count(2 * per) == 2
+    assert adgd.core.worker_count(41) == min(8, 41 // per)
+    assert adgd.core.worker_count(1000) == 8
+
+
 def test_process_map_keeps_order_and_runs_in_workers(monkeypatch):
     use_workers(monkeypatch, 4)   # more workers than the two cores CI machines have
     parent = os.getpid()
