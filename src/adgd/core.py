@@ -117,8 +117,10 @@ def composite(f: SmoothFunction, g: Optional[ProxFriendly] = None,
 class ReferenceSolution:
     """High-accuracy anchor point (x_ref, F_ref) used by certificates.
 
-    ``tolerance`` is the residual of the run that produced it (the final
-    gradient-mapping norm), not a guaranteed distance to the true optimum.
+    ``tolerance`` is a gradient-mapping norm at ``x_star``: for a closed-form
+    minimizer the unit-step residual ||x - prox(x - grad f(x))||, for a solve
+    the final residual of the run.  It is not a guaranteed distance to the
+    true optimum.
     """
 
     x_star: np.ndarray

@@ -20,7 +20,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .accounting import CSV_COUNTER_FIELDS, essential_metric_name, essential_units_rows
-from .core import ReferenceSolution, process_map
+from .core import process_map
 from .diagnostics import run_certificates
 from .problems import (
     EXPERIMENT_KINDS,
@@ -30,7 +30,7 @@ from .problems import (
     instance_from_descriptor,
     make_problem,
 )
-from .reference import make_reference
+from .reference import cached_reference, make_reference
 from .solvers import RULES, AdGD2, Armijo, RunConfig, Trace, run_solver
 from .svgplot import gap_plot_svg
 
@@ -291,7 +291,6 @@ class CellResult:
     instance: ProblemInstance
     trace: Trace
     csv_name: str
-    reference: Optional[ReferenceSolution] = None
 
     def summary_row(self) -> str:
         t = self.trace
@@ -306,13 +305,12 @@ class CellResult:
         return ",".join(cells)
 
 
-def run_experiment(config: ExperimentConfig, record_traces: bool = False) -> List[CellResult]:
+def run_experiment(config: ExperimentConfig) -> List[CellResult]:
     """Execute every cell, writing one CSV per cell plus summary and metadata.
 
     The cells run through ``process_map``; the files are written here, in
-    config order, as the traces come back.  ``record_traces`` keeps full
-    iterate histories on the returned traces (needed when certificates run
-    right after).
+    config order, as the traces come back.  With ``reference = auto`` each
+    problem's reference is cached under ``references/`` for plots and checks.
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,13 +322,11 @@ def run_experiment(config: ExperimentConfig, record_traces: bool = False) -> Lis
         if spec.problem not in instances:
             instances[spec.problem] = make_problem(spec.problem, config.seed, config.scale)
     run_cfg = RunConfig(max_iter=config.max_iter, grad_tol=config.grad_tol,
-                        alpha0=config.alpha0, record_trace=record_traces,
-                        record_rows=True)
+                        alpha0=config.alpha0, record_trace=False, record_rows=True)
 
     def solve(i):
         return run_solver(instances[specs[i].problem], specs[i].rule, run_cfg)
 
-    references: dict = {}
     results: List[CellResult] = []
     used_names = set()
     for spec, trace in zip(specs, process_map(solve, len(specs))):
@@ -345,10 +341,8 @@ def run_experiment(config: ExperimentConfig, record_traces: bool = False) -> Lis
         results.append(CellResult(spec, instances[spec.problem], trace, csv_name))
 
     if config.reference == "auto":
-        for kind, inst in instances.items():
-            references[kind] = make_reference(inst, cache)
-        for r in results:
-            r.reference = references.get(r.instance.kind)
+        for inst in instances.values():
+            make_reference(inst, cache)
 
     summary_lines = [SUMMARY_HEADER] + [r.summary_row() for r in results]
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
@@ -441,9 +435,10 @@ def plot_run_dir(run_dir) -> List[Path]:
             loaded.append((cell, cols))
             if cols["F"].size:
                 best = min(best, float(np.min(cols["F"])))
-        ref_val = _reference_value(run_dir, cells[0]["problem"]) \
+        ref = cached_reference(instance_from_descriptor(cells[0]["problem"]),
+                               run_dir / "references") \
             if meta.get("reference") == "auto" else None
-        anchor = ref_val if ref_val is not None else best
+        anchor = ref.F_star if ref is not None else best
         for cell, cols in loaded:
             ops = row_essential_units(kind, cell["rule"]["kind"], cols)
             gaps = cols["F"] - anchor
@@ -462,16 +457,6 @@ def _rule_label(rule_dict: dict) -> str:
     if rule_dict["kind"] in ("adgd2", "adproxgd"):
         return "adaptive"
     return rule_dict["kind"]
-
-
-def _reference_value(run_dir: Path, problem_desc: dict) -> Optional[float]:
-    from .reference import reference_path
-    inst = instance_from_descriptor(problem_desc)
-    path = reference_path(run_dir / "references", inst)
-    if not path.exists():
-        return None
-    with np.load(path) as data:
-        return float(data["F_star"])
 
 
 def check_run_dir(run_dir, reports_out: Optional[Path] = None):

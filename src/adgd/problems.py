@@ -222,7 +222,9 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     """Inverse-covariance fit -log det X + tr(XY) over l I <= X <= u I.
 
     Y averages M noisy copies of one Gaussian draw, so it is PSD with a
-    dominant direction.  The box keeps every iterate positive definite.
+    dominant direction.  The box keeps every iterate positive definite.  The
+    minimizer shares Y's eigenvectors: X* = Q diag(clip(1/lambda_i, l, u)) Q'
+    for Y = Q diag(lambda) Q', with lambda_i <= 1/u mapped to u.
     """
     if not (0 < l < u) or M < 1:
         raise ValueError("require 0 < l < u and M >= 1")
@@ -254,6 +256,10 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     )
     x0 = (0.5 * (l + u)) * np.eye(n)
 
+    lam, Q = np.linalg.eigh(Y)
+    x_star = ((Q * np.clip(1.0 / np.maximum(lam, 1.0 / u), l, u)) @ Q.T).ravel()
+    _freeze(x_star)
+
     def sample_point(rng):
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         return ((Q * rng.uniform(l, u, size=n)) @ Q.T).ravel()
@@ -264,6 +270,7 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
         x0=x0.ravel(),
         generator_seed=seed,
         metadata={"n": n, "l": l, "u": u, "M": M},
+        solution=x_star,
         sample_point=sample_point,
     )
 
@@ -368,9 +375,9 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
 def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemInstance:
     """Nonnegative factorization 0.5 ||UV' - A||_F^2 over U, V >= 0.
 
-    A is built from clamped Gaussian factors, so the optimal value is exactly
-    zero.  Nonconvex: certificates that rely on convexity do not apply.
-    ``start_index`` varies only the starting point (restart sweeps).
+    A = BC' is built from clamped Gaussian factors, so x* = (B, C) attains the
+    optimal value zero exactly.  Nonconvex: certificates that rely on
+    convexity do not apply.  ``start_index`` varies only the starting point.
     """
     if r < 1:
         raise ValueError("require r >= 1")
@@ -378,7 +385,8 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
     B = np.maximum(rng.normal(size=(n, r)), 0.0)
     C = np.maximum(rng.normal(size=(n, r)), 0.0)
     A = B @ C.T
-    _freeze(A)
+    x_star = np.concatenate([B.ravel(), C.ravel()])
+    _freeze(A, x_star)
     dim = 2 * n * r
 
     def split(x):
@@ -410,6 +418,7 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
         generator_seed=seed,
         metadata={"n": n, "r": r, "start_index": start_index},
         convex=False,
+        solution=x_star,
         sample_point=lambda rng: np.abs(rng.normal(size=dim)),
     )
 

@@ -1,12 +1,16 @@
-"""High-accuracy reference solutions, cached on disk.
+"""Reference solutions, cached on disk.
 
-References are self-hosted: a long adaptive proximal-gradient run with a
-tight gradient-mapping tolerance.  For the nonconvex factorization problem
-the reference is the best value found over a ten-restart sweep and is labeled
-as such.  Cache files are keyed by the problem descriptor, the solve settings
-(grad_tol, max_iter) and the cache format, which are also stored in the file
-and checked on load: a rerun with the same seed, parameters and settings is a
-pure cache hit, and a reference is never reused under other settings.
+An instance whose generator knows its minimizer carries it as
+``ProblemInstance.solution`` (quadratic, least squares, quartic, the
+counterexample, the spectral-box MLE and the planted NMF factors); its
+reference is that closed form, with F* = F(x*) and the unit-step
+gradient-mapping residual at x* as tolerance.  The others (logistic, lrmc,
+curve, dual_entropy) get a long adaptive proximal-gradient run with a tight
+gradient-mapping tolerance.  Cache files are keyed by the problem
+descriptor, the solve settings (grad_tol, max_iter) and the cache format,
+which are also stored in the file and checked on load: a rerun with the same
+seed, parameters and settings is a pure cache hit, and a reference is never
+reused under other settings.
 """
 
 from __future__ import annotations
@@ -19,16 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ReferenceSolution, process_map
-from .problems import ProblemInstance, instance_descriptor, make_nmf
+from .core import ReferenceSolution, evaluate_composite
+from .problems import ProblemInstance, instance_descriptor
 from .solvers import AdGD2, RunConfig, run_solver
 
 REFERENCE_GRAD_TOL = 1e-12
 REFERENCE_MAX_ITER = 10 ** 6
-NMF_RESTARTS = 10
 
 
-CACHE_FORMAT = "adgd-reference-v2"
+CACHE_FORMAT = "adgd-reference-v3"
 
 
 def _cache_settings(inst: ProblemInstance, grad_tol: float, max_iter: int) -> str:
@@ -71,10 +74,17 @@ def _save(path: Path, ref: ReferenceSolution, settings: str) -> None:
         raise
 
 
-def _load(path: Path, settings: str) -> Optional[ReferenceSolution]:
-    """The cached reference, or None when it was built under other settings."""
+def cached_reference(inst: ProblemInstance, cache_dir,
+                     grad_tol: float = REFERENCE_GRAD_TOL,
+                     max_iter: int = REFERENCE_MAX_ITER) -> Optional[ReferenceSolution]:
+    """The reference cached for ``inst`` under these settings, or None when
+    there is no file or the file was built under other settings."""
+    path = reference_path(cache_dir, inst, grad_tol, max_iter)
+    if not path.exists():
+        return None
     with np.load(path) as data:
-        if "settings" not in data.files or str(data["settings"]) != settings:
+        if ("settings" not in data.files
+                or str(data["settings"]) != _cache_settings(inst, grad_tol, max_iter)):
             return None
         return ReferenceSolution(
             x_star=np.array(data["x_star"]),
@@ -82,6 +92,14 @@ def _load(path: Path, settings: str) -> Optional[ReferenceSolution]:
             tolerance=float(data["tolerance"]),
             provenance=str(data["provenance"]),
         )
+
+
+def _closed_form_reference(inst: ProblemInstance) -> ReferenceSolution:
+    p, x = inst.composite, inst.solution
+    residual = np.linalg.norm(x - p.g.prox(1.0, x - p.f.gradient(x)))
+    return ReferenceSolution(x_star=x, F_star=evaluate_composite(p, x),
+                             tolerance=float(residual),
+                             provenance=f"closed-form minimizer of the {inst.kind} generator")
 
 
 def _solve_reference(inst: ProblemInstance, grad_tol: float, max_iter: int) -> ReferenceSolution:
@@ -97,50 +115,24 @@ def _solve_reference(inst: ProblemInstance, grad_tol: float, max_iter: int) -> R
                              provenance=prov)
 
 
-def _solve_nmf_reference(inst: ProblemInstance, grad_tol: float, max_iter: int) -> ReferenceSolution:
-    meta = inst.metadata
-    variants = [make_nmf(inst.generator_seed, meta["n"], meta["r"], start_index=restart)
-                for restart in range(NMF_RESTARTS)]
-    cfg = RunConfig(max_iter=max_iter, grad_tol=grad_tol,
-                    record_trace=False, record_rows=False)
-
-    def solve(restart):
-        return run_solver(variants[restart], AdGD2(), cfg)
-
-    best = None
-    for tr in process_map(solve, NMF_RESTARTS):
-        if best is None or tr.F_final < best.F_final:
-            best = tr
-    return ReferenceSolution(
-        x_star=best.x_final,
-        F_star=best.F_final,
-        tolerance=max(best.final_residual, grad_tol),
-        provenance=f"best-found over {NMF_RESTARTS} restarts (nonconvex)",
-    )
-
-
 def make_reference(inst: ProblemInstance, cache_dir=None,
                    grad_tol: float = REFERENCE_GRAD_TOL,
                    max_iter: int = REFERENCE_MAX_ITER,
                    force: bool = False) -> ReferenceSolution:
     """Reference for ``inst``, from cache when available.
 
-    Convex problems get a single long run; the factorization problem gets a
-    restart sweep with a best-found label.  Pass ``cache_dir=None`` to skip
-    caching entirely.
+    The instance's closed-form solution when it carries one, a long adaptive
+    run otherwise.  Pass ``cache_dir=None`` to skip caching entirely.
     """
-    path = None
-    settings = _cache_settings(inst, grad_tol, max_iter)
-    if cache_dir is not None:
-        path = reference_path(cache_dir, inst, grad_tol, max_iter)
-        if path.exists() and not force:
-            ref = _load(path, settings)
-            if ref is not None:
-                return ref
-    if inst.kind == "nmf":
-        ref = _solve_nmf_reference(inst, max(grad_tol, 1e-10), min(max_iter, 20000))
+    if cache_dir is not None and not force:
+        ref = cached_reference(inst, cache_dir, grad_tol, max_iter)
+        if ref is not None:
+            return ref
+    if inst.solution is not None:
+        ref = _closed_form_reference(inst)
     else:
         ref = _solve_reference(inst, grad_tol, max_iter)
-    if path is not None:
-        _save(path, ref, settings)
+    if cache_dir is not None:
+        _save(reference_path(cache_dir, inst, grad_tol, max_iter), ref,
+              _cache_settings(inst, grad_tol, max_iter))
     return ref

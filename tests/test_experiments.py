@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -24,7 +25,17 @@ from adgd.experiments import (
 )
 from adgd.cli import main as cli_main
 import adgd
-from adgd.problems import EXPERIMENT_KINDS, make_nmf, make_quadratic
+from adgd.core import evaluate_composite
+from adgd.problems import (
+    EXPERIMENT_KINDS,
+    make_counterexample,
+    make_least_squares,
+    make_min_curve,
+    make_mle,
+    make_nmf,
+    make_quadratic,
+    make_quartic,
+)
 from adgd.reference import make_reference, reference_path
 from adgd.solvers import RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD
 
@@ -331,18 +342,18 @@ def test_reference_cache_hit(tmp_path):
 
 
 def test_reference_cache_keyed_on_settings(tmp_path):
-    inst = make_quadratic(83, 10, 1000.0)
+    inst = make_min_curve(83, 5, 20)   # no closed form: the settings steer the solve
     tight = make_reference(inst, tmp_path)
     loose = make_reference(inst, tmp_path, grad_tol=1e-6)
     assert tight.tolerance < 1e-6 <= loose.tolerance
     assert "grad_tol=1e-06" in loose.provenance
     assert reference_path(tmp_path, inst) != reference_path(tmp_path, inst, grad_tol=1e-6)
-    assert len(list(tmp_path.glob("ref_quadratic_*.npz"))) == 2
+    assert len(list(tmp_path.glob("ref_curve_*.npz"))) == 2
     assert make_reference(inst, tmp_path).F_star == tight.F_star
 
 
 def test_reference_cache_rejects_file_of_other_settings(tmp_path):
-    inst = make_quadratic(84, 10, 10.0)
+    inst = make_min_curve(84, 5, 20)
     loose = make_reference(inst, tmp_path, grad_tol=1e-6)
     # a file built under other settings, sitting where the default lookup goes
     reference_path(tmp_path, inst, grad_tol=1e-6).replace(reference_path(tmp_path, inst))
@@ -374,11 +385,35 @@ def test_reference_cache_concurrent_writers(tmp_path):
     assert np.linalg.norm(ref.x_star - inst.solution) <= 1e-10
 
 
-def test_reference_nmf_best_found(tmp_path):
+@pytest.mark.parametrize("inst", [
+    make_quadratic(86, 10, 10.0), make_least_squares(87, 20, 8), make_quartic(),
+    make_counterexample(), make_mle(88, 10), make_nmf(89, 10, 3),
+], ids=lambda inst: inst.kind)
+def test_reference_is_the_closed_form_solution(tmp_path, inst):
+    ref = make_reference(inst, tmp_path)
+    assert np.array_equal(ref.x_star, inst.solution)
+    assert ref.F_star == evaluate_composite(inst.composite, inst.solution)
+    assert "closed-form" in ref.provenance
+    assert make_reference(inst, tmp_path).F_star == ref.F_star   # and the cache holds it
+
+
+def test_reference_nmf_closed_form(tmp_path):
     inst = make_nmf(82, 10, 3)
     ref = make_reference(inst, tmp_path)
-    assert "best-found" in ref.provenance
-    assert ref.F_star <= 1e-6
+    assert np.min(ref.x_star) >= 0.0
+    assert ref.F_star == 0.0
+    assert not np.any(inst.composite.f.gradient(ref.x_star))
+    assert ref.tolerance == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reference_mle_closed_form_matches_converged_solve(seed):
+    inst = make_mle(seed, 10)
+    closed = make_reference(inst)
+    solved = make_reference(dataclasses.replace(inst, solution=None))
+    assert "status=converged" in solved.provenance
+    assert abs(closed.F_star - solved.F_star) <= 1e-14 * abs(closed.F_star)
+    assert np.linalg.norm(closed.x_star - solved.x_star) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +429,24 @@ def test_plot_is_read_only_and_emits_svg(small_run):
     assert svg.startswith("<svg") and "polyline" in svg
     after = {p.name: p.read_bytes() for p in out.glob("*.csv")}
     assert before == after
+
+
+def test_plot_ignores_cache_file_of_other_settings(tmp_path):
+    out = tmp_path / "out"
+    text = GOOD_CONFIG.format(out=out).replace("dual_entropy", "curve")
+    run_experiment(parse_config(text.replace("reference = none", "reference = auto")))
+    cache = out / "references"
+    inst = make_min_curve(3, 20, 100)
+    assert reference_path(cache, inst).exists()
+    for p in cache.iterdir():
+        p.unlink()
+    plot_run_dir(out)
+    without = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+    # a file built under other settings, sitting where the default lookup goes
+    make_reference(inst, cache, grad_tol=1e-6)
+    reference_path(cache, inst, grad_tol=1e-6).replace(reference_path(cache, inst))
+    plot_run_dir(out)
+    assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == without
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Independent cells on a fork pool: the same artifacts, errors and references
-as a serial run.
+"""Independent cells on a fork pool: the same artifacts and errors as a serial
+run.
 
 Each test patches ``adgd.core.worker_count``, so the pool path runs with two
 workers whatever the machine, and the serial path with one.
@@ -10,16 +10,13 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import adgd.core
 import adgd.experiments
-import adgd.reference
 import adgd.solvers
 from adgd.cli import main as cli_main
 from adgd.core import NumericalError, process_map
-from adgd.problems import make_nmf
 from adgd.solvers import LinesearchStalled
 
 pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -162,19 +159,3 @@ def test_worker_failure_exits_3_and_earlier_cell_wins(tmp_path, monkeypatch, cap
         assert nmf_failed.exists()
         assert os.getpid() not in pids(pid_file)
 
-
-def test_nmf_reference_from_pool_is_bit_identical(tmp_path, monkeypatch):
-    inst = make_nmf(5, 20, 4)
-    refs = {}
-    for workers in (1, 2):
-        use_workers(monkeypatch, workers)
-        pid_file = tmp_path / f"pids{workers}"
-        record_pids(monkeypatch, adgd.reference, pid_file)
-        refs[workers] = adgd.reference._solve_nmf_reference(inst, 1e-10, 300)
-        assert len(pid_file.read_text().split()) == adgd.reference.NMF_RESTARTS
-        ran_in = pids(pid_file)
-        assert (ran_in == {os.getpid()}) if workers == 1 else (os.getpid() not in ran_in)
-    serial, pooled = refs[1], refs[2]
-    assert serial.x_star.tobytes() == pooled.x_star.tobytes()
-    assert np.float64(serial.F_star).tobytes() == np.float64(pooled.F_star).tobytes()
-    assert (serial.tolerance, serial.provenance) == (pooled.tolerance, pooled.provenance)

@@ -170,6 +170,16 @@ def test_mle_data_matrix_psd():
     assert w[0] >= -1e-9
 
 
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mle_solution_is_a_prox_gradient_fixed_point(scale, seed):
+    inst = make_problem("mle", seed, scale)
+    f, g, x = inst.composite.f, inst.composite.g, inst.solution
+    assert g.value(x) == 0.0
+    for alpha in (0.01, 1.0, 100.0):
+        assert np.linalg.norm(x - g.prox(alpha, x - alpha * f.gradient(x))) <= 1e-9
+
+
 def test_lrmc_gradient_zero_off_mask():
     inst = make_lrmc(45, 12, 3)
     n = inst.metadata["n"]
@@ -220,6 +230,7 @@ def test_nmf_zero_at_planted_factors():
     C = np.maximum(rng.normal(size=(9, 3)), 0.0)
     point = np.concatenate([B.ravel(), C.ravel()])
     assert inst.composite.f.value(point) == 0.0
+    assert np.array_equal(inst.solution, point)
 
 
 def test_nmf_run_stays_nonnegative():
