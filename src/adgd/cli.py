@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,6 +84,15 @@ def _scale_flags(sp, default="desk") -> None:
     grp.add_argument("--paper-scale", dest="scale", action="store_const", const="paper")
 
 
+def _say(text: str) -> None:
+    """Print to stdout.  Once its reader has gone (`adgd ... | head`), stdout
+    is the null device: the command still finishes with its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -92,7 +102,7 @@ def main(argv=None) -> int:
             Path(args.out).write_text(
                 json.dumps(instance_descriptor(inst), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8")
-            print(f"wrote {args.out} ({inst.label}, dim={inst.dimension})")
+            _say(f"wrote {args.out} ({inst.label}, dim={inst.dimension})")
             return EXIT_OK
 
         if args.command == "run":
@@ -108,30 +118,30 @@ def main(argv=None) -> int:
             if args.scale is not None:
                 config.scale = args.scale
             results = run_experiment(config)  # --check reruns every cell itself
-            print(f"wrote {len(results)} trace(s) to {config.out}")
+            _say(f"wrote {len(results)} trace(s) to {config.out}")
             if args.check:
                 lines, ok = check_run_dir(config.out, Path(config.out) / "check_report.txt")
-                print("\n".join(lines))
+                _say("\n".join(lines))
                 if not ok:
                     return EXIT_DIAGNOSTICS
             return EXIT_OK
 
         if args.command == "check":
             lines, ok = check_run_dir(args.run, Path(args.run) / "check_report.txt")
-            print("\n".join(lines))
+            _say("\n".join(lines))
             return EXIT_OK if ok else EXIT_DIAGNOSTICS
 
         if args.command == "plot":
             for path in plot_run_dir(args.run):
-                print(f"wrote {path}")
+                _say(f"wrote {path}")
             return EXIT_OK
 
         if args.command == "reference":
             inst = make_problem(args.problem, args.seed, args.scale)
             ref = make_reference(inst, args.cache, force=args.force)
-            print(f"{inst.label}: F_ref={ref.F_star!r} tol={ref.tolerance:g}")
-            print(f"  provenance: {ref.provenance}")
-            print(f"  cache: {reference_path(args.cache, inst)}")
+            _say(f"{inst.label}: F_ref={ref.F_star!r} tol={ref.tolerance:g}")
+            _say(f"  provenance: {ref.provenance}")
+            _say(f"  cache: {reference_path(args.cache, inst)}")
             return EXIT_OK
     except (NumericalError, LinesearchStalled) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -84,6 +84,18 @@ def _need_reference(reference):
         raise ValueError("reference required")
 
 
+def check_feasibility(problem, trace: Trace) -> CertificateReport:
+    """g is finite at every recorded iterate.  The iterates are copies, so an
+    indicator applies its full test to each, not its shortcut at a prox output."""
+    name = "feasibility"
+    if not trace.prox_run:
+        return _not_applicable(name, "no prox-friendly part")
+    _need_recorded(trace)
+    g = getattr(problem, "composite", problem).g
+    viol = [0.0 if math.isfinite(g.value(x)) else math.inf for x in trace.xs]
+    return _report(name, viol, range(len(viol)), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity facts
 # ---------------------------------------------------------------------------
@@ -476,4 +488,5 @@ def run_certificates(problem, trace: Trace,
         reports.append(_not_applicable("gradient_monotonicity", "nonconvex objective"))
         reports.append(_not_applicable("energy_decrease", "nonconvex objective"))
         reports.append(_not_applicable("rate_bound", "nonconvex objective"))
+    reports.append(check_feasibility(problem, trace))
     return reports

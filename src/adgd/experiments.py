@@ -248,16 +248,16 @@ def load_config(path) -> ExperimentConfig:
 # CSV
 # ---------------------------------------------------------------------------
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def trace_csv_text(trace: Trace) -> str:
+    """A row per step in ``Trace.CSV_HEADER`` order: repr of floats, str of ints."""
+    if trace.alphas is None:
+        raise ValueError("run did not record rows; rerun with record_rows=True")
+    floats = zip(*(a.tolist() for a in (trace.alphas, trace.thetas, trace.curvatures,
+                                        trace.F_steps, trace.step_norms)))
+    counts = trace.counter_rows[:, :len(CSV_COUNTER_FIELDS)].tolist()
     lines = [Trace.CSV_HEADER]
-    for row in trace.rows():
-        lines.append(",".join(_csv_cell(v) for v in row))
+    for k, (row, c) in enumerate(zip(floats, counts)):
+        lines.append(",".join([str(k), *map(repr, row), *map(str, c)]))
     return "\n".join(lines) + "\n"
 
 

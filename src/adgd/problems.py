@@ -22,12 +22,12 @@ from .core import (
     composite,
 )
 from .prox import (
+    SpectralBox,
     affine_indicator,
     dual_entropy_domain,
     nonneg_indicator,
     nuclear_ball_indicator,
     project_affine,
-    spectral_box_indicator,
 )
 
 # piecewise objective: quadratic bowl glued C^1 onto two near-linear tails
@@ -224,7 +224,8 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     Y averages M noisy copies of one Gaussian draw, so it is PSD with a
     dominant direction.  The box keeps every iterate positive definite.  The
     minimizer shares Y's eigenvectors: X* = Q diag(clip(1/lambda_i, l, u)) Q'
-    for Y = Q diag(lambda) Q', with lambda_i <= 1/u mapped to u.
+    for Y = Q diag(lambda) Q', with lambda_i <= 1/u mapped to u.  At the box's
+    last prox output, log det X and X^-1 come from the prox's eigenvalues.
     """
     if not (0 < l < u) or M < 1:
         raise ValueError("require 0 < l < u and M >= 1")
@@ -235,18 +236,21 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     Y = 0.5 * (Y + Y.T)
     _freeze(Y)
 
+    box = SpectralBox(n, l, u)
+
     def value(x):
         X = x.reshape(n, n)
-        sign, logdet = np.linalg.slogdet(X)
-        if sign <= 0:
-            raise NumericalError("matrix left the positive-definite cone")
-        return float(-logdet + np.trace(X @ Y))
+        if x is box.x:
+            logdet = np.sum(np.log(box.c))
+        else:
+            sign, logdet = np.linalg.slogdet(X)
+            if sign <= 0:
+                raise NumericalError("matrix left the positive-definite cone")
+        return float(-logdet + np.sum(X * Y))
 
     def gradient(x):
-        X = x.reshape(n, n)
-        Xi = np.linalg.inv(X)
-        G = Y - 0.5 * (Xi + Xi.T)
-        return G.ravel()
+        Xi = (box.Q / box.c) @ box.Q.T if x is box.x else np.linalg.inv(x.reshape(n, n))
+        return (Y - 0.5 * (Xi + Xi.T)).ravel()
 
     f = SmoothFunction(
         dimension=n * n,
@@ -266,7 +270,7 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
 
     return ProblemInstance(
         kind="mle",
-        composite=composite(f, spectral_box_indicator(n, l, u), label=f.name),
+        composite=composite(f, box.indicator(), label=f.name),
         x0=x0.ravel(),
         generator_seed=seed,
         metadata={"n": n, "l": l, "u": u, "M": M},

@@ -2,9 +2,9 @@
 
 Every projection here is the exact Euclidean projection, so it is idempotent
 and nonexpansive.  Indicator-function prox maps ignore the stepsize.  Each
-factory returns a :class:`~adgd.core.ProxFriendly` whose ``cost`` declares the
-essential operations one application triggers (one eigendecomposition for the
-spectral box, one SVD for the nuclear ball, and so on).
+factory (and ``SpectralBox.indicator``) returns a :class:`~adgd.core.ProxFriendly`
+whose ``cost`` declares the essential operations one application triggers (one
+eigendecomposition for the spectral box, one SVD for the nuclear ball, and so on).
 """
 
 from __future__ import annotations
@@ -72,15 +72,19 @@ def project_spectral_box(Z: np.ndarray, l: float, u: float) -> np.ndarray:
     The input is symmetrized first; asymmetry beyond 1e-8 relative is an
     error, since that indicates corrupted data rather than rounding noise.
     """
+    Q, c = _eigh_clip(np.asarray(Z, dtype=np.float64), l, u)
+    return (Q * c) @ Q.T
+
+
+def _eigh_clip(Z: np.ndarray, l: float, u: float):
+    """(Q, c) with the box projection of Z equal to Q diag(c) Q'."""
     if not (0 < l < u):
         raise ValueError("spectral box requires 0 < l < u")
-    Z = np.asarray(Z, dtype=np.float64)
     asym = np.max(np.abs(Z - Z.T))
     if asym > 1e-8 * (1.0 + np.max(np.abs(Z))):
         raise ValueError(f"input is not symmetric (asymmetry {asym:.3e})")
-    S = 0.5 * (Z + Z.T)
-    w, Q = np.linalg.eigh(S)
-    return (Q * np.clip(w, l, u)) @ Q.T
+    w, Q = np.linalg.eigh(0.5 * (Z + Z.T))
+    return Q, np.clip(w, l, u)
 
 
 def project_nuclear_ball(Z: np.ndarray, r: float) -> np.ndarray:
@@ -142,43 +146,58 @@ def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
     )
 
 
-def spectral_box_indicator(n: int, l: float, u: float) -> ProxFriendly:
-    """Indicator of {X symmetric : l I <= X <= u I} on row-major flattened X."""
+class SpectralBox:
+    """Indicator of {X symmetric : l I <= X <= u I} on row-major flattened X.
 
-    def value(x):
-        X = x.reshape(n, n)
+    The last prox output ``x`` is read-only and kept with its factorization
+    X = Q diag(c) Q': ``value`` is 0 there with no decomposition, and a smooth
+    part may reuse ``Q`` and ``c``.  Other points, copies too, get the full test.
+    """
+
+    def __init__(self, n: int, l: float, u: float):
+        self.n, self.l, self.u = n, l, u
+        self.x = self.Q = self.c = None
+
+    def prox(self, alpha, z):
+        Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u)
+        x = ((Q * c) @ Q.T).ravel()
+        x.flags.writeable = False
+        self.x, self.Q, self.c = x, Q, c
+        return x
+
+    def value(self, x):
+        if x is self.x:
+            return 0.0
+        X = x.reshape(self.n, self.n)
         w = np.linalg.eigvalsh(0.5 * (X + X.T))
-        ok = w[0] >= l - 1e-8 * (1 + u) and w[-1] <= u + 1e-8 * (1 + u)
-        return 0.0 if ok else np.inf
+        slack = 1e-8 * (1 + self.u)
+        return 0.0 if w[0] >= self.l - slack and w[-1] <= self.u + slack else np.inf
 
-    def prox(alpha, z):
-        return project_spectral_box(z.reshape(n, n), l, u).ravel()
-
-    return ProxFriendly(
-        value=value,
-        prox=prox,
-        name="spectral_box",
-        cost={"eig_count": 1, "projection_count": 1},
-    )
+    def indicator(self) -> ProxFriendly:
+        return ProxFriendly(value=self.value, prox=self.prox, name="spectral_box",
+                            cost={"eig_count": 1, "projection_count": 1})
 
 
 def nuclear_ball_indicator(shape: tuple, r: float) -> ProxFriendly:
-    """Indicator of {X : ||X||_* <= r} on row-major flattened X."""
+    """Indicator of {X : ||X||_* <= r} on row-major flattened X.  The last prox
+    output is read-only, and ``value`` is 0 there with no SVD."""
     m, n = shape
+    last = None
 
     def value(x):
+        if x is last:
+            return 0.0
         s = np.linalg.svd(x.reshape(m, n), compute_uv=False)
         return 0.0 if s.sum() <= r * (1 + 1e-8) + 1e-8 else np.inf
 
     def prox(alpha, z):
-        return project_nuclear_ball(z.reshape(m, n), r).ravel()
+        nonlocal last
+        last = project_nuclear_ball(z.reshape(m, n), r).ravel()
+        last.flags.writeable = False
+        return last
 
-    return ProxFriendly(
-        value=value,
-        prox=prox,
-        name="nuclear_ball",
-        cost={"svd_count": 1, "projection_count": 1},
-    )
+    return ProxFriendly(value=value, prox=prox, name="nuclear_ball",
+                        cost={"svd_count": 1, "projection_count": 1})
 
 
 def dual_entropy_domain(m: int, feas_tol: float = 1e-9) -> ProxFriendly:

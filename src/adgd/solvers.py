@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .accounting import CSV_COUNTER_FIELDS, Counters, apply_event
+from .accounting import Counters, apply_event
 from .core import NumericalError
 
 DIVERGENCE_NORM = 1e10
@@ -391,16 +391,6 @@ class Trace:
 
     CSV_HEADER = ("iter,alpha,theta,Lk,F,step_norm,"
                   "grad_evals,func_evals,prox_evals,svd_count,eig_count,projection_count")
-
-    def rows(self):
-        """Yield CSV rows in header order."""
-        if self.alphas is None:
-            raise ValueError("run did not record rows; rerun with record_rows=True")
-        ncsv = len(CSV_COUNTER_FIELDS)
-        for k in range(len(self.alphas)):
-            yield (k, self.alphas[k], self.thetas[k], self.curvatures[k],
-                   self.F_steps[k], self.step_norms[k],
-                   *(int(c) for c in self.counter_rows[k][:ncsv]))
 
     @property
     def max_curvature(self) -> float:

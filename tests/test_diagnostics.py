@@ -9,15 +9,17 @@ from adgd.diagnostics import (
     check_divergence_pattern,
     check_energy_gd,
     check_energy_prox,
+    check_feasibility,
     check_gradient_monotonicity,
     check_rate,
     check_stepsize_bounds,
     check_stepsize_sum,
     check_subgradient_monotonicity,
     detect_breakpoints,
+    run_certificates,
     trajectory_curvature_sweep,
 )
-from adgd.problems import make_counterexample, make_quadratic
+from adgd.problems import make_counterexample, make_problem, make_quadratic
 from adgd.prox import nonneg_indicator
 from adgd.solvers import AdGD2, BadGD, FixedStep, RunConfig, Trace, run_solver
 
@@ -291,6 +293,27 @@ def test_divergence_pattern_control_converges():
     assert tr.status == "converged"
     rep = check_divergence_pattern(tr)
     assert not rep.passed  # no divergence, hence no pattern to certify
+
+
+# ---------------------------------------------------------------------------
+# feasibility
+# ---------------------------------------------------------------------------
+
+def test_feasibility_flags_iterate_outside_box():
+    inst = make_problem("mle", 1)
+    n, u = inst.metadata["n"], inst.metadata["u"]
+    tr = run_solver(inst, AdGD2(), RunConfig(max_iter=20, grad_tol=1e-12))
+    rep = {r.name: r for r in run_certificates(inst, tr)}["feasibility"]
+    assert rep.passed and rep.n_checked == tr.iters + 1
+    bad = copy.deepcopy(tr)
+    bad.xs[7] += u * np.eye(n).ravel()   # every eigenvalue above l + u
+    rep = check_feasibility(inst, bad)
+    assert not rep.passed and rep.worst_iteration == 7
+
+
+def test_feasibility_not_applicable_without_prox(quad_run):
+    inst, tr, _ = quad_run
+    assert check_feasibility(inst, tr).note.startswith("not applicable")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgd.accounting import Counters, apply_event, count_essential, essential_units
+from adgd.accounting import (CSV_COUNTER_FIELDS, Counters, apply_event, count_essential,
+                             essential_units)
 from adgd.experiments import (
     ConfigError,
     DEFAULT_ARMIJO_PAIRS,
@@ -22,6 +23,7 @@ from adgd.experiments import (
     rule_from_dict,
     rule_to_dict,
     run_experiment,
+    trace_csv_text,
 )
 from adgd.cli import main as cli_main
 import adgd
@@ -33,11 +35,13 @@ from adgd.problems import (
     make_min_curve,
     make_mle,
     make_nmf,
+    make_problem,
     make_quadratic,
     make_quartic,
 )
 from adgd.reference import make_reference, reference_path
-from adgd.solvers import RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD
+from adgd.solvers import (RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD, RunConfig,
+                          Trace, run_solver)
 
 GOOD_CONFIG = """
 # minimal experiment
@@ -259,14 +263,39 @@ def test_csv_header_and_roundtrip(small_run):
     assert first == ("iter,alpha,theta,Lk,F,step_norm,grad_evals,func_evals,"
                      "prox_evals,svd_count,eig_count,projection_count")
     cols = read_trace_csv(path)
-    rows = list(results[0].trace.rows())
-    assert len(cols["iter"]) == len(rows)
     names = first.split(",")
+    rows = _trace_rows(results[0].trace)
+    assert len(cols["iter"]) == len(rows)
     for j, name in enumerate(names):
         got = np.array([row[j] for row in rows], dtype=np.float64)
         assert np.array_equal(cols[name], got)  # repr round-trip is lossless
     assert np.all(np.diff(cols["iter"]) == 1)
     assert np.all(cols["alpha"] > 0)
+
+
+def _trace_rows(t):
+    # one tuple per step in CSV_HEADER order, with numpy scalars as recorded
+    return [(k, t.alphas[k], t.thetas[k], t.curvatures[k], t.F_steps[k], t.step_norms[k],
+             *t.counter_rows[k][:len(CSV_COUNTER_FIELDS)]) for k in range(len(t.alphas))]
+
+
+def _csv_text_cell_by_cell(trace):
+    # the formatter trace_csv_text replaced: a type dispatch on every cell
+    def cell(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+    lines = [Trace.CSV_HEADER] + [",".join(map(cell, row)) for row in _trace_rows(trace)]
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_text_matches_cell_by_cell_formatter():
+    diverged = run_solver(make_counterexample(12.0), BadGD(1.0),
+                          RunConfig(max_iter=200, grad_tol=1e-14, record_trace=False,
+                                    divergence_norm=math.inf))
+    armijo = run_solver(make_problem("mle", 1), Armijo(1.2, 0.5),
+                        RunConfig(max_iter=40, record_trace=False))
+    assert diverged.status == "diverged" and np.isinf(diverged.F_steps[-1])
+    for trace in (diverged, armijo):
+        assert trace_csv_text(trace) == _csv_text_cell_by_cell(trace)
 
 
 def test_summary_totals_match_last_row(small_run):
@@ -556,3 +585,42 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
                             if p.suffix in (".csv", ".json")}
     assert len(outputs["1"]) == 7   # five cells, summary.csv, meta.json
     assert outputs["1"] == outputs["2"]
+
+
+CHECK_ONE_CELL = """
+[experiment]
+seed = 1
+plot = no
+max_iter = 60
+reference = none
+
+[run.curve]
+problem = curve
+rule = adproxgd
+"""
+
+
+@pytest.mark.parametrize("when", ["after_first_line", "before_start"])
+def test_cli_output_reader_gone_is_quiet(tmp_path, when):
+    # `adgd ... | head -1`: no traceback, the check still runs, and the exit
+    # code is the command's own
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(CHECK_ONE_CELL)
+    src = str(Path(adgd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "adgd", "run", "--config", str(cfg),
+            "--out", str(tmp_path / "out"), "--check"]
+    if when == "after_first_line":   # unbuffered: the first line arrives before the check
+        proc = subprocess.Popen([argv[0], "-u", *argv[1:]], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"wrote 1 trace(s)")
+        proc.stdout.close()
+    else:                            # buffered: the first write meets a closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(argv, env=env, stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
+    assert "PASS" in (tmp_path / "out" / "check_report.txt").read_text()

@@ -180,6 +180,26 @@ def test_mle_solution_is_a_prox_gradient_fixed_point(scale, seed):
         assert np.linalg.norm(x - g.prox(alpha, x - alpha * f.gradient(x))) <= 1e-9
 
 
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mle_at_prox_output_matches_full_factorization(scale, seed):
+    # at the box's prox output, value and gradient come from its eigenvalues;
+    # a copy of the same point takes slogdet and inv
+    inst = make_problem("mle", seed, scale)
+    f, g = inst.composite.f, inst.composite.g
+    n = inst.metadata["n"]
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    for z in (inst.x0 - f.gradient(inst.x0),                      # clips at l
+              inst.sample_point(rng) + 3.0 * (M + M.T).ravel()):  # clips at l and u
+        x = g.prox(1.0, z)
+        assert x is g.prox.__self__.x
+        value, full = f.value(x), f.value(x.copy())
+        assert abs(value - full) <= 1e-12 * abs(full)
+        grad, full = f.gradient(x), f.gradient(x.copy())
+        assert np.linalg.norm(grad - full) <= 1e-10 * np.linalg.norm(full)
+
+
 def test_lrmc_gradient_zero_off_mask():
     inst = make_lrmc(45, 12, 3)
     n = inst.metadata["n"]

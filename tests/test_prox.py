@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adgd.prox import (
+    SpectralBox,
     affine_indicator,
     dual_entropy_domain,
     nonneg_indicator,
@@ -13,7 +14,6 @@ from adgd.prox import (
     project_spectral_box,
     prox_dual_entropy_domain,
     prox_zero,
-    spectral_box_indicator,
 )
 
 
@@ -227,7 +227,7 @@ def _operators():
     return [
         ("nonneg", nonneg_indicator(), _gauss(9)),
         ("affine", affine_indicator(A, b), _gauss(9)),
-        ("spectral_box", spectral_box_indicator(4, 0.1, 10.0), _sym_gauss(4)),
+        ("spectral_box", SpectralBox(4, 0.1, 10.0).indicator(), _sym_gauss(4)),
         ("nuclear_ball", nuclear_ball_indicator((3, 3), 2.0), _gauss(9)),
         ("dual_entropy", dual_entropy_domain(8), _gauss(9)),
     ]
@@ -267,4 +267,24 @@ def test_prox_lands_in_domain(name, op, sample):
     rng = np.random.default_rng(15)
     for _ in range(20):
         z = sample(rng, 6.0)
-        assert op.value(op.prox(1.0, z)) == 0.0
+        p = op.prox(1.0, z)
+        assert op.value(p) == 0.0
+        assert op.value(p.copy()) == 0.0   # a copy takes the full membership test
+
+
+@pytest.mark.parametrize("op,sample,grow", [
+    (SpectralBox(4, 0.1, 10.0).indicator(), _sym_gauss(4), 200.0),
+    (nuclear_ball_indicator((3, 3), 2.0), _gauss(9), 2.0),
+], ids=["spectral_box", "nuclear_ball"])
+def test_remembered_prox_output_is_read_only_and_only_itself(op, sample, grow):
+    rng = np.random.default_rng(16)
+    p = op.prox(1.0, sample(rng, 6.0))
+    with pytest.raises(ValueError):
+        p[0] = 1.0
+    assert op.value(p) == 0.0
+    # after the prox, other points still get the full test
+    assert op.value(grow * p) == np.inf
+    assert op.value(sample(rng, 100.0)) == np.inf
+    q = p.copy()
+    q[0] += 100.0
+    assert op.value(q) == np.inf
