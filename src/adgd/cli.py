@@ -22,6 +22,7 @@ from .experiments import (
     check_run_dir,
     load_config,
     plot_run_dir,
+    run_and_check,
     run_experiment,
 )
 from .problems import MAKERS, instance_descriptor, make_problem
@@ -117,14 +118,12 @@ def main(argv=None) -> int:
                 config.seed = args.seed
             if args.scale is not None:
                 config.scale = args.scale
-            results = run_experiment(config)  # --check reruns every cell itself
+            results, lines, ok = run_and_check(config) if args.check \
+                else (run_experiment(config), None, True)
             _say(f"wrote {len(results)} trace(s) to {config.out}")
             if args.check:
-                lines, ok = check_run_dir(config.out, Path(config.out) / "check_report.txt")
                 _say("\n".join(lines))
-                if not ok:
-                    return EXIT_DIAGNOSTICS
-            return EXIT_OK
+            return EXIT_OK if ok else EXIT_DIAGNOSTICS
 
         if args.command == "check":
             lines, ok = check_run_dir(args.run, Path(args.run) / "check_report.txt")

@@ -178,8 +178,9 @@ _TASK = None   # set only in a pool's worker: the function it runs
 
 # Each worker is a fresh fork that faults in its own heap, and a map is never
 # shorter than its longest task.  Below this many tasks per worker a few
-# uneven cells (one mle cell is 70% of a four-cell `run --check`) gain ~10%
-# from the pool for twice the CPUs, and their wall time spreads wider.
+# uneven cells (one mle cell is 70% of four `adgd run` cells; `run --check`
+# makes two tasks of a cell) gain ~10% from the pool for twice the CPUs, and
+# their wall time spreads wider.
 MIN_TASKS_PER_WORKER = 4
 
 
@@ -202,12 +203,14 @@ def _call_task(i: int):
     return _TASK(i)
 
 
-def process_map(fn: Callable[[int], object], n_tasks: int) -> Iterator:
+def process_map(fn: Callable[[int], object], n_tasks: int, order=None) -> Iterator:
     """Yield ``fn(0), ..., fn(n_tasks - 1)`` in order, computed on a fork pool.
 
     The workers are forked, so they see ``fn`` and all it reads without
     pickling: only the task index goes out and only the result, which must
-    pickle, comes back.  With one worker, without fork, or inside a worker,
+    pickle, comes back.  ``order`` (a permutation of the indices) is the order
+    in which the pool starts the tasks, longest first say; the results still
+    come in index order.  With one worker, without fork, or inside a worker,
     this is the builtin ``map``.  The first task in index order that raises
     raises here, and the tasks not yet started are cancelled.
     """
@@ -224,6 +227,7 @@ def process_map(fn: Callable[[int], object], n_tasks: int) -> Iterator:
     pool = ProcessPoolExecutor(workers, mp_context=context,
                                initializer=_enter_worker, initargs=(fn,))
     try:
-        yield from pool.map(_call_task, range(n_tasks))
+        started = {i: pool.submit(_call_task, i) for i in order or range(n_tasks)}
+        yield from (started[i].result() for i in range(n_tasks))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

@@ -234,6 +234,9 @@ def _parse_rule(section, lineno, kind, kind_ln, params):
     if missing:
         raise ConfigError(f"rule {kind!r} in [{section}] needs {', '.join(missing)}", lineno)
     values = {key: _want_float(value, ln, key) for key, (value, ln) in params.items()}
+    for key, (value, ln) in params.items():
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}", ln)
     try:
         return cls(**values)
     except ValueError:  # the rules reject invalid parameters
@@ -312,6 +315,13 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
     config order, as the traces come back.  With ``reference = auto`` each
     problem's reference is cached under ``references/`` for plots and checks.
     """
+    return run_and_check(config, check=False)[0]
+
+
+def run_and_check(config: ExperimentConfig, check: bool = True):
+    """``run_experiment`` and, with ``check``, ``check_run_dir`` on its directory
+    in one pool pass: each cell's check, rebuilt from the ``meta.json`` text, is
+    a task beside the cells and starts first.  Returns (results, lines, ok)."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = out / "references" if config.reference == "auto" else None
@@ -323,30 +333,16 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
             instances[spec.problem] = make_problem(spec.problem, config.seed, config.scale)
     run_cfg = RunConfig(max_iter=config.max_iter, grad_tol=config.grad_tol,
                         alpha0=config.alpha0, record_trace=False, record_rows=True)
-
-    def solve(i):
-        return run_solver(instances[specs[i].problem], specs[i].rule, run_cfg)
-
-    results: List[CellResult] = []
-    used_names = set()
-    for spec, trace in zip(specs, process_map(solve, len(specs))):
-        base = f"{spec.problem}__{trace.rule_name}"
+    csv_names: List[str] = []
+    for spec in specs:
+        prox_run = instances[spec.problem].composite.has_prox_part
+        base = f"{spec.problem}__{spec.rule.trace_name(prox_run)}"
         csv_name = base + ".csv"
         i = 1
-        while csv_name in used_names:
+        while csv_name in csv_names:
             i += 1
             csv_name = f"{base}_{i}.csv"
-        used_names.add(csv_name)
-        write_trace_csv(out / csv_name, trace)
-        results.append(CellResult(spec, instances[spec.problem], trace, csv_name))
-
-    if config.reference == "auto":
-        for inst in instances.values():
-            make_reference(inst, cache)
-
-    summary_lines = [SUMMARY_HEADER] + [r.summary_row() for r in results]
-    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-
+        csv_names.append(csv_name)
     meta = {
         "format": META_FORMAT,
         "name": config.name,
@@ -357,22 +353,39 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
         "alpha0": config.alpha0,
         "plot": config.plot,
         "reference": config.reference,
-        "cells": [
-            {
-                "run_name": r.spec.name,
-                "csv": r.csv_name,
-                "problem": instance_descriptor(r.instance),
-                "rule": rule_to_dict(r.spec.rule),
-            }
-            for r in results
-        ],
+        "cells": [{"run_name": spec.name, "csv": csv_name, "rule": rule_to_dict(spec.rule),
+                   "problem": instance_descriptor(instances[spec.problem])}
+                  for spec, csv_name in zip(specs, csv_names)],
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    certify = _certifier(json.loads(meta_text), out) if check else None
+    n = len(specs)
+
+    def task(i):
+        return certify(i - n) if i >= n else run_solver(instances[specs[i].problem],
+                                                        specs[i].rule, run_cfg)
+
+    stream = process_map(task, 2 * n if check else n,
+                         [*range(n, 2 * n), *range(n)] if check else None)
+    results: List[CellResult] = []
+    for spec, csv_name, trace in zip(specs, csv_names, stream):
+        write_trace_csv(out / csv_name, trace)
+        results.append(CellResult(spec, instances[spec.problem], trace, csv_name))
+
+    if config.reference == "auto":
+        for inst in instances.values():
+            make_reference(inst, cache)
+
+    summary_lines = [SUMMARY_HEADER] + [r.summary_row() for r in results]
+    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    (out / "meta.json").write_text(meta_text, encoding="utf-8")
 
     if config.plot:
         plot_run_dir(out)
-    return results
+    if not check:
+        return results, None, None
+    stored = ((out / csv_name).read_text(encoding="utf-8") for csv_name in csv_names)
+    return (results, *_check_report(zip(stored, stream), out / "check_report.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +482,20 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
     """
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))
+    certify = _certifier(meta, run_dir)
+    stored = ((run_dir / cell["csv"]).read_text(encoding="utf-8") for cell in meta["cells"])
+    return _check_report(zip(stored, process_map(certify, len(meta["cells"]))), reports_out)
+
+
+def _certifier(meta: dict, run_dir: Path):
+    """``certify(i)``: cell i of the parsed ``meta.json`` rebuilt, rerun and
+    certified, as (tag, csv_text, certificate lines, ok).  Instances, rules and
+    references are built here, before any worker starts: no two workers ever
+    build the same reference."""
     if meta.get("format") != META_FORMAT:
         raise ValueError("unrecognized run metadata format")
     cache = run_dir / "references" if meta.get("reference") == "auto" else None
     cells = meta["cells"]
-    # instances, references and rules are built here, once, before any worker
-    # starts: no two workers ever build the same reference
     keys = [json.dumps(cell["problem"], sort_keys=True) for cell in cells]
     instances: dict = {}
     references: dict = {}
@@ -490,22 +511,26 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
     def certify(i):
         inst = instances[keys[i]]
         trace = run_solver(inst, rules[i], cfg)
-        stored = (run_dir / cells[i]["csv"]).read_text(encoding="utf-8")
         tag = f"{cells[i]['problem']['kind']}/{trace.rule_name}"
-        if stored != trace_csv_text(trace):
-            return [f"{tag:36s} trace_reproduction          FAIL  stored CSV differs"], False
-        lines = [f"{tag:36s} trace_reproduction          PASS"]
-        ok = True
-        for rep in run_certificates(inst, trace, references.get(keys[i])):
-            ok = ok and rep.passed
-            lines.append(f"{tag:36s} {rep.to_line()}")
-        return lines, ok
+        reports = run_certificates(inst, trace, references.get(keys[i]))
+        return (tag, trace_csv_text(trace), [f"{tag:36s} {rep.to_line()}" for rep in reports],
+                all(rep.passed for rep in reports))
 
+    return certify
+
+
+def _check_report(cells, reports_out: Optional[Path]):
+    """(lines, ok) of a check from (stored CSV text, ``certify`` result) per
+    cell: a rerun whose CSV differs from the stored one fails alone."""
     lines = []
     ok = True
-    for cell_lines, cell_ok in process_map(certify, len(cells)):
-        lines += cell_lines
-        ok = ok and cell_ok
+    for stored, (tag, csv_text, cell_lines, cell_ok) in cells:
+        if stored != csv_text:
+            lines.append(f"{tag:36s} trace_reproduction          FAIL  stored CSV differs")
+            ok = False
+        else:
+            lines += [f"{tag:36s} trace_reproduction          PASS", *cell_lines]
+            ok = ok and cell_ok
     if reports_out is not None:
         Path(reports_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return lines, ok

@@ -93,6 +93,8 @@ class AdGD2(StepsizeRule):
         t = alpha_prev * L  # product first: avoids overflow in alpha^2 L^2
         bracket = 2.0 * t * t - 1.0
         curv = math.inf if bracket <= 0.0 else alpha_prev / math.sqrt(bracket)
+        if bracket == math.inf:   # 2 t^2 overflowed: the bound's limit, 1 / (sqrt(2) L)
+            curv = 1.0 / (math.sqrt(2.0) * L)
         return min(growth, curv)
 
     def trace_name(self, prox_run: bool) -> str:
@@ -118,8 +120,8 @@ class FixedStep(StepsizeRule):
     prox_ok = True
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("fixed stepsize must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("fixed stepsize must be positive and finite")
 
     @property
     def fixed_alpha0(self) -> float:
@@ -140,8 +142,8 @@ class Armijo(StepsizeRule):
     linesearch = True
 
     def __post_init__(self):
-        if not self.s > 1:
-            raise ValueError("Armijo requires s > 1")
+        if not 1 < self.s < math.inf:
+            raise ValueError("Armijo requires a finite s > 1")
         if not 0 < self.r < 1:
             raise ValueError("Armijo requires r in (0, 1)")
 
@@ -159,8 +161,8 @@ class BadGD(StepsizeRule):
     divergent = True
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError("BadGD requires c >= 1")
+        if not 1 <= self.c < math.inf:
+            raise ValueError("BadGD requires a finite c >= 1")
 
     @property
     def name(self) -> str:

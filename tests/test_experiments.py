@@ -167,6 +167,28 @@ def test_rule_invalid_for_prox_problem_reports_section_line(problem, rule):
     parse_config(f"[experiment]\nname = x\n[run.a]\nproblem = quadratic\nrule = {rule}\n")
 
 
+@pytest.mark.parametrize("params, key, line", [
+    ("rule = fixed\nalpha = nan", "alpha", 6), ("rule = fixed\nalpha = inf", "alpha", 6),
+    ("rule = badgd\nc = nan", "c", 6), ("rule = armijo\nr = 0.5\ns = inf", "s", 7),
+])
+def test_non_finite_rule_parameter_exits_2_with_its_line(tmp_path, capsys, params, key, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[experiment]\nreference = none\n[run.a]\nproblem = quadratic\n{params}\n")
+    with pytest.raises(ConfigError, match=rf"line {line}\): {key} must be a finite number"):
+        parse_config(cfg.read_text())
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FixedStep(math.nan), lambda: FixedStep(math.inf), lambda: BadGD(math.nan),
+    lambda: BadGD(math.inf), lambda: Armijo(math.nan, 0.5), lambda: Armijo(math.inf, 0.5),
+])
+def test_rules_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_cli_rule_invalid_for_problem_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[experiment]\nreference = none\n\n[run.a]\nproblem = mle\nrule = adgd1\n")

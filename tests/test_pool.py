@@ -2,9 +2,13 @@
 run.
 
 Each test patches ``adgd.core.worker_count``, so the pool path runs with two
-workers whatever the machine, and the serial path with one.
+workers whatever the machine, and the serial path with one.  ``adgd run
+--check`` is one pool pass: each cell's rerun and certificates are a task of
+their own beside the cells.
 """
 
+import dataclasses
+import json
 import multiprocessing
 import os
 import time
@@ -13,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import adgd.core
+import adgd.diagnostics
 import adgd.experiments
 import adgd.solvers
 from adgd.cli import main as cli_main
@@ -129,14 +134,9 @@ def test_run_and_check_artifacts_identical_to_serial(tmp_path, monkeypatch, caps
     assert reports[1] == reports[2]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_worker_failure_exits_3_and_earlier_cell_wins(tmp_path, monkeypatch, capsys, workers):
-    """In the pool the lrmc cell fails only after the nmf cell behind it has
-    failed; the lrmc failure is reported, and only the cell before it is written."""
-    cfg = tmp_path / "pool.cfg"
-    cfg.write_text(POOL_CELLS)
-    nmf_failed = tmp_path / "nmf_failed"
-
+def lrmc_fails_after_nmf(nmf_failed: Path, workers: int):
+    """A ``fail`` for ``record_pids``: in the pool the lrmc cell fails only
+    after the nmf cell behind it has failed."""
     def fail(inst, rule):
         if inst.kind == "lrmc":
             deadline = time.monotonic() + 30
@@ -146,7 +146,17 @@ def test_worker_failure_exits_3_and_earlier_cell_wins(tmp_path, monkeypatch, cap
         if inst.kind == "nmf":
             nmf_failed.touch()
             raise LinesearchStalled("nmf failed")
+    return fail
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_failure_exits_3_and_earlier_cell_wins(tmp_path, monkeypatch, capsys, workers):
+    """In the pool the lrmc cell fails only after the nmf cell behind it has
+    failed; the lrmc failure is reported, and only the cell before it is written."""
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    nmf_failed = tmp_path / "nmf_failed"
+    fail = lrmc_fails_after_nmf(nmf_failed, workers)
     use_workers(monkeypatch, workers)
     pid_file = tmp_path / "pids"
     record_pids(monkeypatch, adgd.experiments, pid_file, fail)
@@ -159,3 +169,180 @@ def test_worker_failure_exits_3_and_earlier_cell_wins(tmp_path, monkeypatch, cap
         assert nmf_failed.exists()
         assert os.getpid() not in pids(pid_file)
 
+
+
+# -- start order ------------------------------------------------------------
+
+def test_process_map_start_order_keeps_results_in_index_order(monkeypatch):
+    use_workers(monkeypatch, 2)
+
+    def task(i):
+        started = time.monotonic()
+        time.sleep(0.05)
+        return i, started
+
+    got = list(process_map(task, 8, order=[7, 6, 5, 4, 3, 2, 1, 0]))
+    assert [i for i, _ in got] == list(range(8))
+    started = dict(got)
+    assert started[7] < started[0] and started[6] < started[1]
+
+
+def test_process_map_first_raising_task_in_index_order_wins(tmp_path, monkeypatch):
+    """Task 1 starts first and raises first; task 0 raises after it, and wins."""
+    use_workers(monkeypatch, 2)
+    late_failed = tmp_path / "late_failed"
+
+    def task(i):
+        if i == 1:
+            late_failed.touch()
+            raise ValueError("late task")
+        deadline = time.monotonic() + 30
+        while not late_failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ValueError("early task")
+
+    with pytest.raises(ValueError, match="early task"):
+        list(process_map(task, 2, order=[1, 0]))
+    assert late_failed.exists()
+
+
+# -- `run --check` as one pool pass ---------------------------------------------
+
+def run_cli(capsys, argv, out: Path):
+    """Exit code and standard output of ``adgd argv``, with ``out`` as OUT."""
+    code = cli_main(argv)
+    return code, capsys.readouterr().out.replace(str(out), "OUT")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_check_equals_run_then_check(tmp_path, monkeypatch, capsys, workers):
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    use_workers(monkeypatch, workers)
+    fused, apart = tmp_path / "fused", tmp_path / "apart"
+    code, printed = run_cli(capsys, ["run", "--config", str(cfg), "--out", str(fused),
+                                     "--check"], fused)
+    run_code, run_printed = run_cli(capsys, ["run", "--config", str(cfg), "--out", str(apart)],
+                                    apart)
+    check_code, check_printed = run_cli(capsys, ["check", "--run", str(apart)], apart)
+    assert code == run_code == check_code == 0
+    assert printed == run_printed + check_printed
+    assert files(fused) == files(apart)
+    assert "check_report.txt" in files(fused)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_check_cell_failure_leaves_what_run_leaves(tmp_path, monkeypatch, capsys, workers):
+    """The lrmc run fails (and so does its rerun) while the nmf cell behind it
+    fails first: exit 3, the lrmc message and the CSV before it, as ``run``."""
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    use_workers(monkeypatch, workers)
+    outcomes = {}
+    for extra in ([], ["--check"]):
+        nmf_failed = tmp_path / f"nmf_failed{len(extra)}"
+        record_pids(monkeypatch, adgd.experiments, tmp_path / "pids",
+                    lrmc_fails_after_nmf(nmf_failed, workers))
+        out = tmp_path / f"out{len(extra)}"
+        code = cli_main(["run", "--config", str(cfg), "--out", str(out), *extra])
+        captured = capsys.readouterr()
+        outcomes[len(extra)] = code, captured.out, captured.err, files(out)
+    assert outcomes[0] == outcomes[1]
+    code, printed, err, written = outcomes[1]
+    assert code == 3 and printed == "" and "lrmc failed" in err and "nmf failed" not in err
+    assert sorted(written) == ["mle__adproxgd.csv"]
+
+
+def fail_curve_certificates(monkeypatch):
+    """Every certificate of the curve cell reports FAIL."""
+    real = adgd.experiments.run_certificates
+
+    def certificates(inst, trace, reference=None):
+        reports = real(inst, trace, reference)
+        if inst.kind == "curve":
+            reports = [dataclasses.replace(rep, passed=False) for rep in reports]
+        return reports
+
+    monkeypatch.setattr(adgd.experiments, "run_certificates", certificates)
+
+
+def test_failing_certificate_exits_4_with_one_report(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    fail_curve_certificates(monkeypatch)
+    outcomes = {}
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        outcomes[workers] = (*run_cli(capsys, ["run", "--config", str(cfg), "--out", str(out),
+                                               "--check"], out), files(out))
+    assert outcomes[1] == outcomes[2]
+    code, printed, written = outcomes[1]
+    assert code == 4
+    report = written["check_report.txt"].decode()
+    assert printed.endswith(report)
+    failing = [line for line in report.splitlines() if " FAIL " in line]
+    assert failing and all(line.startswith("curve/") for line in failing)
+    assert f"{'curve/adproxgd':36s} trace_reproduction          PASS" in report
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_check_compares_against_the_csv_on_disk(tmp_path, monkeypatch, capsys, workers):
+    """A cell CSV that differs on disk from the run's trace fails reproduction."""
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    use_workers(monkeypatch, workers)
+    real = adgd.experiments.write_trace_csv
+
+    def write(path, trace):
+        real(path, trace)
+        if Path(path).name.startswith("lrmc"):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+
+    monkeypatch.setattr(adgd.experiments, "write_trace_csv", write)
+    out = tmp_path / "out"
+    code, printed = run_cli(capsys, ["run", "--config", str(cfg), "--out", str(out),
+                                     "--check"], out)
+    assert code == 4
+    failing = [line for line in printed.splitlines() if " FAIL " in line]
+    assert failing == [f"{'lrmc/adproxgd':36s} trace_reproduction          "
+                       "FAIL  stored CSV differs"]
+
+
+def test_rerun_rebuilds_cells_from_the_meta_json_text(tmp_path, monkeypatch, capsys):
+    """The check's instances come from ``instance_from_descriptor`` on the
+    cells of the parsed ``meta.json``, and the reruns use them, not the run's."""
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    use_workers(monkeypatch, 1)
+    rebuilt = {}
+    real_rebuild = adgd.experiments.instance_from_descriptor
+
+    def rebuild(descriptor):
+        inst = real_rebuild(descriptor)
+        rebuilt[id(inst)] = descriptor
+        return inst
+
+    solved = []
+    real_solve = adgd.experiments.run_solver
+
+    def solve(inst, rule, run_cfg):
+        solved.append((id(inst), run_cfg.record_trace))
+        return real_solve(inst, rule, run_cfg)
+
+    monkeypatch.setattr(adgd.experiments, "instance_from_descriptor", rebuild)
+    monkeypatch.setattr(adgd.experiments, "run_solver", solve)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--check"]) == 0
+    capsys.readouterr()
+    cells = json.loads((out / "meta.json").read_text(encoding="utf-8"))["cells"]
+    distinct = []
+    for cell in cells:
+        if cell["problem"] not in distinct:
+            distinct.append(cell["problem"])
+    assert list(rebuilt.values()) == distinct
+    reruns = [inst_id for inst_id, traced in solved if traced]
+    runs = [inst_id for inst_id, traced in solved if not traced]
+    assert len(reruns) == len(runs) == len(cells)
+    assert set(reruns) <= set(rebuilt) and not set(runs) & set(rebuilt)

@@ -2,9 +2,10 @@
 
 Every rule with ``stepsize`` must return a positive step inside its own
 bounds for any positive alpha_{k-1} and theta_{k-1} and any curvature
-estimate L >= 0, up to alpha_{k-1} L = 9.4e153.  Just above that, at
+estimate 0 <= L <= 1e302, up to alpha_{k-1} L = 1e300.  Above
 sqrt(float max / 2) = 9.48e153, AdGD2's bracket 2 (alpha L)^2 - 1
-overflows and its step becomes 0.  ``parse_config``
+overflows, and its curvature bound is the bracket's limit 1 / (sqrt(2) L).
+Above L = 1e302, BadGD's c L overflows for c up to 1e6.  ``parse_config``
 must turn any text into a config or a ``ConfigError``, never another
 exception.
 """
@@ -12,13 +13,14 @@ exception.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adgd.experiments import ConfigError, ExperimentConfig, parse_config
 from adgd.solvers import ALPHA_CLAMP, RULES
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
-MAX_PRODUCT = 9.4e153
+MAX_PRODUCT = 1e300
+MAX_CURVATURE = 1e302
 SQRT2 = math.sqrt(2.0)
 EPS = 1e-12
 
@@ -70,6 +72,7 @@ def step_inputs(draw):
     alpha = draw(_log_uniform(1e-150, 1e150))
     theta = draw(_log_uniform(1e-150, 1e150))
     L = draw(st.one_of(st.just(0.0), _log_uniform(1e-150, MAX_PRODUCT).map(lambda t: t / alpha)))
+    assume(L <= MAX_CURVATURE)
     return alpha, theta, L
 
 

@@ -109,6 +109,22 @@ def test_adgd2_bracket_binds():
     assert abs(AdGD2().stepsize(1.0, 0.0, 2.0) - 1.0 / math.sqrt(7.0)) <= 1e-15
 
 
+def test_adgd2_overflowing_bracket_takes_its_limit():
+    assert AdGD2().stepsize(1.0, 1.0 / 3.0, 1e160) == 1.0 / (SQ2 * 1e160)
+
+
+def test_adgd2_runs_past_an_overflowing_bracket():
+    """alpha_0 L_1 = 1.3e154, so 2 (alpha L)^2 - 1 overflows on the first
+    adaptive step; the step is the bracket's limit, not 0."""
+    h = 1.3e154
+    f = SmoothFunction(dimension=1, value=lambda x: float(0.5 * h * x[0] ** 2),
+                       gradient=lambda x: h * x, name="stiff")
+    problem = SimpleNamespace(composite=composite(f), x0=np.array([1.0 / h]), kind="custom")
+    tr = run_solver(problem, AdGD2(), RunConfig(max_iter=200, alpha0=1.0, grad_tol=1e-9))
+    assert tr.status == "converged"
+    assert tr.alphas[1] == AdGD2().stepsize(1.0, 1.0 / 3.0, float(tr.curvatures[1])) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # steps
 # ---------------------------------------------------------------------------
