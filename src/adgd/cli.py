@@ -119,10 +119,8 @@ def main(argv=None) -> int:
             if args.scale is not None:
                 config.scale = args.scale
             results, lines, ok = run_and_check(config) if args.check \
-                else (run_experiment(config), None, True)
-            _say(f"wrote {len(results)} trace(s) to {config.out}")
-            if args.check:
-                _say("\n".join(lines))
+                else (run_experiment(config), [], True)
+            _say("\n".join([f"wrote {len(results)} trace(s) to {config.out}", *lines]))
             return EXIT_OK if ok else EXIT_DIAGNOSTICS
 
         if args.command == "check":

@@ -319,9 +319,9 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
 
 
 def run_and_check(config: ExperimentConfig, check: bool = True):
-    """``run_experiment`` and, with ``check``, ``check_run_dir`` on its directory
-    in one pool pass: each cell's check, rebuilt from the ``meta.json`` text, is
-    a task beside the cells and starts first.  Returns (results, lines, ok)."""
+    """``run_experiment`` and, with ``check``, ``check_run_dir`` on its directory in
+    one pool pass: each cell's check, rebuilt from the ``meta.json`` text, is a task
+    beside the cells and starts first.  (results, lines, ok), or (results, [], True)."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = out / "references" if config.reference == "auto" else None
@@ -337,8 +337,7 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     for spec in specs:
         prox_run = instances[spec.problem].composite.has_prox_part
         base = f"{spec.problem}__{spec.rule.trace_name(prox_run)}"
-        csv_name = base + ".csv"
-        i = 1
+        i, csv_name = 1, base + ".csv"
         while csv_name in csv_names:
             i += 1
             csv_name = f"{base}_{i}.csv"
@@ -371,6 +370,8 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     for spec, csv_name, trace in zip(specs, csv_names, stream):
         write_trace_csv(out / csv_name, trace)
         results.append(CellResult(spec, instances[spec.problem], trace, csv_name))
+    if not check:
+        stream.close()   # the workers exit now, not after the references and plots
 
     if config.reference == "auto":
         for inst in instances.values():
@@ -383,7 +384,7 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     if config.plot:
         plot_run_dir(out)
     if not check:
-        return results, None, None
+        return results, [], True
     stored = ((out / csv_name).read_text(encoding="utf-8") for csv_name in csv_names)
     return (results, *_check_report(zip(stored, stream), out / "check_report.txt"))
 

@@ -171,7 +171,8 @@ class BadGD(StepsizeRule):
     def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
         if L == 0.0:
             return ALPHA_CLAMP
-        return min(1.0 / (self.c * L), ALPHA_CLAMP)
+        cL = self.c * L   # inf past float max: then divide by c and by L in turn
+        return min(1.0 / cL if cL < math.inf else 1.0 / self.c / L, ALPHA_CLAMP)
 
 
 # rule kind -> class, as configs and run metadata name them

@@ -171,7 +171,21 @@ def test_worker_failure_exits_3_and_earlier_cell_wins(tmp_path, monkeypatch, cap
 
 
 
-# -- start order ------------------------------------------------------------
+def test_run_shuts_its_workers_down_before_the_plots(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CELLS)
+    use_workers(monkeypatch, 2)
+    alive = []
+    real_plot = adgd.experiments.plot_run_dir
+
+    def plot(run_dir):
+        alive.append(multiprocessing.active_children())
+        return real_plot(run_dir)
+
+    monkeypatch.setattr(adgd.experiments, "plot_run_dir", plot)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert alive == [[]]
+
 
 def test_process_map_start_order_keeps_results_in_index_order(monkeypatch):
     use_workers(monkeypatch, 2)

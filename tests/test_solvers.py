@@ -113,6 +113,11 @@ def test_adgd2_overflowing_bracket_takes_its_limit():
     assert AdGD2().stepsize(1.0, 1.0 / 3.0, 1e160) == 1.0 / (SQ2 * 1e160)
 
 
+def test_badgd_overflowing_c_times_l_divides_in_turn():
+    assert BadGD(1e6).stepsize(1.0, 1.0, 1e304) == 1.0 / 1e6 / 1e304 > 0.0
+    assert BadGD(2.0).stepsize(1.0, 1.0, 1e300) == 1.0 / (2.0 * 1e300)
+
+
 def test_adgd2_runs_past_an_overflowing_bracket():
     """alpha_0 L_1 = 1.3e154, so 2 (alpha L)^2 - 1 overflows on the first
     adaptive step; the step is the bracket's limit, not 0."""
