@@ -23,9 +23,6 @@ COUNTER_FIELDS = (
     "reused_evals",
 )
 
-# counter columns that appear in trace CSV files, in order
-CSV_COUNTER_FIELDS = COUNTER_FIELDS[:-1]
-
 
 @dataclass
 class Counters:
@@ -49,9 +46,6 @@ class Counters:
 
     def snapshot(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def apply_event(counters: Counters, cost_model: dict, event: str) -> None:

@@ -28,8 +28,6 @@ SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
 
-ADAPTIVE_RULES = ("adgd2", "adproxgd")
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -143,11 +141,11 @@ def check_stepsize_bounds(trace: Trace) -> List[CertificateReport]:
     bound: alpha_k L_k <= 1/sqrt(2) (first rule) or
     alpha_k^2 L_k^2 - alpha_k^2 / (2 alpha_{k-1}^2) <= 1/2 (second rule).
     """
-    if trace.rule_name not in ("adgd1",) + ADAPTIVE_RULES:
+    if trace.rule.kind not in ("adgd1", "adgd2"):
         return [_not_applicable("stepsize_bounds", f"rule {trace.rule_name}")]
     a, th, L = trace.alphas, trace.thetas, trace.curvatures
     grow_viol, curv_viol, its = [], [], []
-    first_rule = trace.rule_name == "adgd1"
+    first_rule = trace.rule.kind == "adgd1"
     c0 = 1.0 if first_rule else 2.0 / 3.0
     for k in range(1, trace.iters):
         its.append(k)
@@ -182,7 +180,7 @@ def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[Cert
     stronger claims than the ball-constant versions, and a failure here calls
     for a curvature sweep before being treated as real.
     """
-    if trace.rule_name not in ADAPTIVE_RULES:
+    if trace.rule.kind != "adgd2":
         return [_not_applicable("stepsize_sum", f"rule {trace.rule_name}")]
     if L_ref is None:
         L_ref = trace.max_curvature
@@ -287,7 +285,7 @@ def check_energy_gd(trace: Trace, reference: ReferenceSolution) -> CertificateRe
         <= ||x^k-x*||^2 + ||x^k-x^{k-1}||^2 + 3 a_k th_k (f(x^{k-1})-f*).
     """
     name = "energy_decrease_gd"
-    if trace.rule_name != "adgd2" or trace.prox_run:
+    if trace.rule.kind != "adgd2" or trace.prox_run:
         return _not_applicable(name, f"rule {trace.rule_name}, prox={trace.prox_run}")
     _need_reference(reference)
     _need_recorded(trace)
@@ -317,12 +315,13 @@ def check_energy_prox(trace: Trace, reference: ReferenceSolution) -> Certificate
     where S^k = grad f(x^k) + v^k and v^0 = 0.
     """
     name = "energy_decrease_prox"
-    if trace.rule_name not in ADAPTIVE_RULES:
+    if trace.rule.kind != "adgd2":
         return _not_applicable(name, f"rule {trace.rule_name}")
     _need_reference(reference)
     _need_recorded(trace)
     xs, F, a, th = trace.xs, trace.F_values, trace.alphas, trace.thetas
-    S = trace.grads + trace.subgrads[: trace.grads.shape[0]]
+    S = trace.subgrads[: trace.grads.shape[0]]
+    S += trace.grads
     S2 = np.sum(S * S, axis=1)
     xr, Fr = reference.x_star, reference.F_star
     dist2 = np.sum((xs - xr[None, :]) ** 2, axis=1)
@@ -341,9 +340,10 @@ def check_energy_prox(trace: Trace, reference: ReferenceSolution) -> Certificate
 
 
 def anchored_radius_sq(trace: Trace, reference: ReferenceSolution) -> float:
-    """R^2 = ||x^0-x*||^2 + 2 a_0^2 ||S^0||^2 + a_0 (F(x^0)-F*)."""
+    """R^2 = ||x^0-x*||^2 + 2 a_0^2 ||S^0||^2 + a_0 (F(x^0)-F*), where S^0 is
+    grad f(x^0), as v^0 = 0."""
     _need_recorded(trace)
-    S0 = trace.grads[0] + trace.subgrads[0]
+    S0 = trace.grads[0]
     return (float(np.sum((trace.xs[0] - reference.x_star) ** 2))
             + 2.0 * trace.alphas[0] ** 2 * float(S0 @ S0)
             + trace.alphas[0] * (trace.F_values[0] - reference.F_star))
@@ -353,7 +353,7 @@ def check_rate(trace: Trace, reference: ReferenceSolution,
                rel_tol: float = 1e-6) -> CertificateReport:
     """Running-min bound  min_{i<=k}(F(x^i)-F*) <= R^2 / (2 sum_{i=1}^k a_i)."""
     name = "rate_bound"
-    if trace.rule_name not in ADAPTIVE_RULES:
+    if trace.rule.kind != "adgd2":
         return _not_applicable(name, f"rule {trace.rule_name}")
     _need_reference(reference)
     _need_recorded(trace)
@@ -390,7 +390,7 @@ def check_divergence_pattern(trace: Trace, c: Optional[float] = None) -> Certifi
     name = "divergence_pattern"
     _need_recorded(trace)
     if c is None:
-        c = float(trace.rule_name.split("_c")[1]) if "_c" in trace.rule_name else 1.0
+        c = getattr(trace.rule, "c", 1.0)
     xs = trace.xs.ravel()
     viol, its = [], []
     if trace.status != "diverged":

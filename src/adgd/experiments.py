@@ -19,7 +19,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .accounting import CSV_COUNTER_FIELDS, essential_metric_name, essential_units_rows
+from .accounting import COUNTER_FIELDS, essential_metric_name, essential_units_rows
 from .core import process_map
 from .diagnostics import run_certificates
 from .problems import (
@@ -53,12 +53,10 @@ class ConfigError(ValueError):
 # Rule (de)serialization
 # ---------------------------------------------------------------------------
 
-def rule_from_dict(d: dict):
-    params = dict(d)
-    kind = params.pop("kind", None)
-    if kind not in RULES:
-        raise ConfigError(f"unknown rule kind {kind!r}")
-    return RULES[kind](**{key: float(value) for key, value in params.items()})
+def rule_from_dict(d: dict, where: str = "a rule dict"):
+    """The rule of a ``rule_to_dict`` dict, with the checks of a [run.*] section."""
+    params = {key: (value, None) for key, value in d.items() if key != "kind"}
+    return _parse_rule(where, None, d.get("kind"), None, params)
 
 
 def rule_to_dict(rule) -> dict:
@@ -134,7 +132,7 @@ def _parse_sections(text: str):
 def _want_float(value, lineno, key):
     try:
         return float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}", lineno)
 
 
@@ -207,7 +205,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[{name}] is missing a problem", lineno)
             if problem not in MAKERS:
                 raise ConfigError(f"unknown problem {problem!r}", items["problem"][1])
-            rule = _parse_rule(name, lineno, rule_kind, rule_ln, params)
+            rule = _parse_rule(f"[{name}]", lineno, rule_kind, rule_ln, params)
             if problem in EXPERIMENT_KINDS and not rule.prox_ok:  # they have a prox part
                 raise ConfigError(f"rule {rule_kind!r} in [{name}] is not valid for "
                                   f"problem {problem!r}, which has a prox part", lineno)
@@ -220,19 +218,20 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _parse_rule(section, lineno, kind, kind_ln, params):
-    """The rule of a [run.*] section; ``params`` maps key -> (value, line)."""
-    cls = RULES.get(kind)
+def _parse_rule(where, lineno, kind, kind_ln, params):
+    """The rule of a [run.*] section or a ``meta.json`` cell, named by ``where``;
+    ``params`` maps key -> (value, line)."""
+    cls = RULES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigError(f"unknown rule kind {kind!r}", kind_ln)
+        raise ConfigError(f"unknown rule kind {kind!r} in {where}", kind_ln)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, (_, ln) in params.items():
         if key not in fields:
-            raise ConfigError(f"unknown key {key!r} in [{section}] for rule {kind!r}", ln)
+            raise ConfigError(f"unknown key {key!r} in {where} for rule {kind!r}", ln)
     missing = [key for key, f in fields.items()
                if f.default is dataclasses.MISSING and key not in params]
     if missing:
-        raise ConfigError(f"rule {kind!r} in [{section}] needs {', '.join(missing)}", lineno)
+        raise ConfigError(f"rule {kind!r} in {where} needs {', '.join(missing)}", lineno)
     values = {key: _want_float(value, ln, key) for key, (value, ln) in params.items()}
     for key, (value, ln) in params.items():
         if not math.isfinite(values[key]):
@@ -251,14 +250,19 @@ def load_config(path) -> ExperimentConfig:
 # CSV
 # ---------------------------------------------------------------------------
 
+# the counters a trace CSV shows, in order; the reuse discount is rebuilt on reading
+CSV_COUNTER_FIELDS = COUNTER_FIELDS[:-1]
+CSV_HEADER = "iter,alpha,theta,Lk,F,step_norm," + ",".join(CSV_COUNTER_FIELDS)
+
+
 def trace_csv_text(trace: Trace) -> str:
-    """A row per step in ``Trace.CSV_HEADER`` order: repr of floats, str of ints."""
+    """A row per step in ``CSV_HEADER`` order: repr of floats, str of ints."""
     if trace.alphas is None:
         raise ValueError("run did not record rows; rerun with record_rows=True")
     floats = zip(*(a.tolist() for a in (trace.alphas, trace.thetas, trace.curvatures,
                                         trace.F_steps, trace.step_norms)))
     counts = trace.counter_rows[:, :len(CSV_COUNTER_FIELDS)].tolist()
-    lines = [Trace.CSV_HEADER]
+    lines = [CSV_HEADER]
     for k, (row, c) in enumerate(zip(floats, counts)):
         lines.append(",".join([str(k), *map(repr, row), *map(str, c)]))
     return "\n".join(lines) + "\n"
@@ -271,7 +275,7 @@ def write_trace_csv(path, trace: Trace) -> None:
 def read_trace_csv(path) -> dict:
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     header = text[0].split(",")
-    if header != Trace.CSV_HEADER.split(","):
+    if header != CSV_HEADER.split(","):
         raise ValueError(f"unexpected CSV header in {path}")
     cols = {name: [] for name in header}
     for line in text[1:]:
@@ -432,10 +436,7 @@ def ops_to_accuracy(trace: Trace, kind: str, threshold: float) -> float:
 def plot_run_dir(run_dir) -> List[Path]:
     """Objective-gap vs essential-operations SVG per problem (read-only)."""
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "meta.json").read_text(encoding="utf-8")) \
-        if (run_dir / "meta.json").exists() else None
-    if meta is None:
-        raise ValueError(f"{run_dir} has no meta.json")
+    meta = read_meta(run_dir)
     by_problem: dict = {}
     for cell in meta["cells"]:
         by_problem.setdefault(cell["problem"]["kind"], []).append(cell)
@@ -482,10 +483,29 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
     (lines, ok), in cell order.
     """
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = read_meta(run_dir)
     certify = _certifier(meta, run_dir)
     stored = ((run_dir / cell["csv"]).read_text(encoding="utf-8") for cell in meta["cells"])
     return _check_report(zip(stored, process_map(certify, len(meta["cells"]))), reports_out)
+
+
+def read_meta(run_dir) -> dict:
+    """The parsed ``meta.json`` of a run directory.  ConfigError unless it is run
+    metadata whose every cell has a valid rule and a known problem kind."""
+    path = Path(run_dir) / "meta.json"
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        if meta.get("format") != META_FORMAT:
+            raise ConfigError(f"{path} is not run metadata of format {META_FORMAT}")
+        for i, cell in enumerate(meta["cells"]):
+            rule_from_dict(cell["rule"], f"cell {i} of {path}")
+            if cell["problem"]["kind"] not in MAKERS:
+                raise ConfigError(f"unknown problem in cell {i} of {path}")
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read run metadata {path}: {exc!r}") from None
+    return meta
 
 
 def _certifier(meta: dict, run_dir: Path):
@@ -493,8 +513,6 @@ def _certifier(meta: dict, run_dir: Path):
     certified, as (tag, csv_text, certificate lines, ok).  Instances, rules and
     references are built here, before any worker starts: no two workers ever
     build the same reference."""
-    if meta.get("format") != META_FORMAT:
-        raise ValueError("unrecognized run metadata format")
     cache = run_dir / "references" if meta.get("reference") == "auto" else None
     cells = meta["cells"]
     keys = [json.dumps(cell["problem"], sort_keys=True) for cell in cells]

@@ -551,8 +551,6 @@ def make_problem(kind: str, seed: int = 0, scale: str = "desk", **overrides) -> 
         raise ValueError(f"unknown problem kind {kind!r}")
     params = dict(SCALES.get(scale, SCALES["desk"]).get(kind, {}))
     params.update(overrides)
-    if kind in ("quartic", "counterexample"):
-        return MAKERS[kind](**params)
     return MAKERS[kind](seed=seed, **params)
 
 
@@ -571,6 +569,4 @@ def instance_from_descriptor(desc: dict) -> ProblemInstance:
         raise ValueError("unrecognized problem container format")
     kind = desc["kind"]
     params = dict(desc.get("params", {}))
-    if kind in ("quartic", "counterexample"):
-        return MAKERS[kind](**params)
     return MAKERS[kind](seed=desc["seed"], **params)

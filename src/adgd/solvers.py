@@ -180,18 +180,28 @@ RULES = {cls.kind: cls for cls in (AdGD1, AdGD2, OldAdGD, FixedStep, Armijo, Bad
 RULES["adproxgd"] = AdGD2
 
 
+def _norm(d) -> float:
+    """``np.linalg.norm`` of a flat float64 array, bit for bit: ``sqrt(d @ d)``.
+    Only if ``d @ d`` overflows is a finite d rescaled by max|d| first."""
+    sq = d @ d
+    if sq == math.inf:
+        scale = float(np.max(np.abs(d)))
+        if scale < math.inf:
+            e = d / scale
+            return scale * math.sqrt(e @ e)
+    return math.sqrt(sq)
+
+
 def curvature_estimate(x_curr, x_prev, grad_curr, grad_prev) -> float:
     """||grad difference|| / ||point difference||; zero if gradients agree.
 
-    Takes flat points.  ``sqrt(d @ d)`` is how numpy's 2-norm of a 1-d float64
-    array is computed, so the result matches ``np.linalg.norm`` bit for bit.
+    Takes flat points; the norms are the ones the iteration loop computes.
     """
-    d = np.subtract(x_curr, x_prev)
-    dx = math.sqrt(d @ d)
-    if dx == 0.0:
-        raise StationaryStep("consecutive iterates coincide")
-    d = np.subtract(grad_curr, grad_prev)
-    return math.sqrt(d @ d) / dx
+    with np.errstate(over="ignore"):
+        dx = _norm(np.subtract(x_curr, x_prev))
+        if dx == 0.0:
+            raise StationaryStep("consecutive iterates coincide")
+        return _norm(np.subtract(grad_curr, grad_prev)) / dx
 
 
 def recover_subgradient(x_next, x_curr, grad_curr, alpha: float) -> np.ndarray:
@@ -362,18 +372,14 @@ class Trace:
     """Per-iteration record of a run plus enough context for certificates.
 
     Step arrays are indexed by the step k that produced x^{k+1}; iterate
-    arrays (F_values, xs, grads, subgrads) cover x^0 .. x^K.  The iterate
-    arrays are populated only when the run recorded its trajectory.
+    arrays (xs, grads and the derived F_values, subgrads) cover x^0 .. x^K.
+    The iterate arrays exist only when the run recorded its trajectory.
     """
 
-    problem_label: str
-    problem_kind: str
-    rule_name: str
+    rule: StepsizeRule
     prox_run: bool
-    theta0: float
     alpha0: float
     alpha0_searched: bool
-    grad_tol: float
     status: str = "max_iter"
     iters: int = 0
     alphas: np.ndarray = None
@@ -383,17 +389,34 @@ class Trace:
     F_steps: np.ndarray = None          # F(x^{k+1}) per step
     counter_rows: np.ndarray = None     # (iters, 7) ints, COUNTER_FIELDS order
     counters: Counters = field(default_factory=Counters)
-    F_values: np.ndarray = None         # F at every iterate incl. x^0
     x_final: np.ndarray = None
     F_final: float = math.nan
     F_initial: float = math.nan
     final_residual: float = math.nan    # ||x^{K}-x^{K-1}|| / alpha_{K-1}
     xs: np.ndarray = None
     grads: np.ndarray = None
-    subgrads: np.ndarray = None
 
-    CSV_HEADER = ("iter,alpha,theta,Lk,F,step_norm,"
-                  "grad_evals,func_evals,prox_evals,svd_count,eig_count,projection_count")
+    @property
+    def rule_name(self) -> str:
+        return self.rule.trace_name(self.prox_run)
+
+    @property
+    def F_values(self) -> Optional[np.ndarray]:
+        """F at every iterate, x^0 included."""
+        return None if self.xs is None else np.concatenate(([self.F_initial], self.F_steps))
+
+    @property
+    def subgrads(self) -> Optional[np.ndarray]:
+        """v^0 = 0, then ``recover_subgradient`` of each step, computed in place on
+        each read; zeros without a prox-friendly part."""
+        if self.xs is None:
+            return None
+        v = np.zeros_like(self.xs)
+        if self.prox_run:
+            np.subtract(self.xs[:-1], self.xs[1:], out=v[1:])
+            v[1:] /= self.alphas[:, None]
+            v[1:] -= self.grads[:len(v) - 1]
+        return v
 
     @property
     def max_curvature(self) -> float:
@@ -453,28 +476,15 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     else:
         alpha0 = float(config.alpha0)
 
-    rule_name = rule.trace_name(prox_run)
-    trace = Trace(
-        problem_label=comp.label,
-        problem_kind=getattr(problem, "kind", "custom"),
-        rule_name=rule_name,
-        prox_run=prox_run,
-        theta0=rule.theta0,
-        alpha0=alpha0,
-        alpha0_searched=searched,
-        grad_tol=config.grad_tol,
-    )
+    trace = Trace(rule=rule, prox_run=prox_run, alpha0=alpha0, alpha0_searched=searched,
+                  F_initial=_objective(comp, x0, f_val=f_curr))
 
-    alphas, thetas, curvs, norms, F_steps, crows = [], [], [], [], [], []
-    F_vals, xs, grads, subgrads = [], [], [], []
+    steps, crows, xs, grads = [], [], [], []   # steps: (alpha, theta, L, step_norm, F)
     record = config.record_trace
     rows = config.record_rows
-    trace.F_initial = _objective(comp, x0, f_val=f_curr)
     if record:
         xs.append(x0.copy())
         grads.append(g0.copy())
-        subgrads.append(np.zeros_like(x0))
-        F_vals.append(trace.F_initial)
 
     x_curr = x0
     g_prev, g_curr = None, g0
@@ -482,7 +492,6 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     override = config.curvature_override
     status = "max_iter"
     F_next = math.nan
-    steps_taken = 0
 
     # one error state for the whole loop: a diverging rule overflows on purpose
     with np.errstate(over="ignore", invalid="ignore"):
@@ -493,8 +502,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 L_k = 0.0
             else:   # curvature_estimate; ||x^k - x^{k-1}|| is the last step's norm,
                     # which is positive: a zero step stopped the run as converged
-                d = g_curr - g_prev
-                L_k = math.sqrt(d @ d) / step_norm
+                L_k = _norm(g_curr - g_prev) / step_norm
             if linesearch:
                 alpha_k, x_next, f_next, _ = armijo_search(
                     comp, x_curr, g_curr, alpha_prev, rule.s, rule.r, f_curr, on_event)
@@ -514,31 +522,18 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
             sq = x_next @ x_next
             finite = math.isfinite(sq) or bool(np.all(np.isfinite(x_next)))
             if not finite and not rule.divergent:
-                raise NumericalError(f"non-finite iterate at step {k} under rule {rule_name}")
+                raise NumericalError(f"non-finite iterate at step {k} under rule "
+                                     f"{trace.rule_name}")
 
-            if finite:
-                d = x_next - x_curr
-                step_norm = math.sqrt(d @ d)
-            else:
-                step_norm = math.inf
-            steps_taken += 1
+            step_norm = _norm(x_next - x_curr) if finite else math.inf
             trace.final_residual = step_norm / alpha_k
             if rows or not finite:
                 F_next = _objective(comp, x_next, f_val=f_next) if finite else math.inf
             if rows:
-                alphas.append(alpha_k)
-                thetas.append(theta_k)
-                curvs.append(L_k)
-                norms.append(step_norm)
-                F_steps.append(F_next)
+                steps.append((alpha_k, theta_k, L_k, step_norm, F_next))
                 crows.append(counters.snapshot())
             if record:
                 xs.append(x_next.copy() if finite else np.array(x_next, dtype=np.float64))
-                F_vals.append(F_next)
-                if prox_run and finite:
-                    subgrads.append(recover_subgradient(x_next, x_curr, g_curr, alpha_k))
-                else:
-                    subgrads.append(np.zeros_like(x0))
 
             if not finite or math.sqrt(sq) > config.divergence_norm:
                 status = "diverged"
@@ -557,13 +552,10 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 grads.append(g_curr.copy())
 
     trace.status = status
-    trace.iters = steps_taken
+    trace.iters = k + 1   # the loop always ends in a break
     if rows:
-        trace.alphas = np.asarray(alphas)
-        trace.thetas = np.asarray(thetas)
-        trace.curvatures = np.asarray(curvs)
-        trace.step_norms = np.asarray(norms)
-        trace.F_steps = np.asarray(F_steps)
+        (trace.alphas, trace.thetas, trace.curvatures, trace.step_norms,
+         trace.F_steps) = (np.asarray(column) for column in zip(*steps))
         trace.counter_rows = np.asarray(crows, dtype=np.int64)
     trace.counters = counters
     trace.x_final = np.array(x_curr, dtype=np.float64)
@@ -572,8 +564,6 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     if record:
         if g_curr is None and np.all(np.isfinite(x_curr)):
             grads.append(comp.f.gradient(x_curr))  # diagnostics only, uncounted
-        trace.F_values = np.asarray(F_vals)
         trace.xs = np.asarray(xs)
         trace.grads = np.asarray(grads)
-        trace.subgrads = np.asarray(subgrads) if prox_run else np.zeros_like(trace.xs)
     return trace

@@ -105,14 +105,12 @@ def test_energy_stationary_trace_is_flat():
     # hand-built trace resting at the anchor: both sides vanish
     d = 3
     xs = np.zeros((4, d))
-    tr = Trace(problem_label="still", problem_kind="custom", rule_name="adgd2",
-               prox_run=False, theta0=1 / 3, alpha0=1.0, alpha0_searched=False,
-               grad_tol=1e-8, status="converged", iters=3,
+    tr = Trace(rule=AdGD2(), prox_run=False, alpha0=1.0, alpha0_searched=False,
+               status="converged", iters=3,
                alphas=np.ones(3), thetas=np.ones(3), curvatures=np.zeros(3),
                step_norms=np.zeros(3), F_steps=np.zeros(3),
                counter_rows=np.zeros((3, 7), dtype=np.int64),
-               F_values=np.zeros(4), x_final=xs[-1], xs=xs,
-               grads=np.zeros((4, d)), subgrads=np.zeros((4, d)))
+               F_initial=0.0, x_final=xs[-1], xs=xs, grads=np.zeros((4, d)))
     ref = ReferenceSolution(np.zeros(d), 0.0, 0.0, "exact")
     rep = check_energy_gd(tr, ref)
     assert rep.passed
@@ -135,10 +133,11 @@ def test_energy_prox_reduces_to_gd_without_g(quad_run):
 
 
 def test_corrupted_subgradient_is_flagged(orthant_run):
+    # the subgradients derive from the iterates: a fault in x^11 changes v^11
     _, tr, _ = orthant_run
     bad = copy.deepcopy(tr)
-    bad.subgrads = bad.subgrads.copy()
-    bad.subgrads[10] += 5.0
+    bad.xs[11] += 5.0
+    assert not np.array_equal(bad.subgrads[11], tr.subgrads[11])
     rep = check_subgradient_monotonicity(bad)
     assert not rep.passed
 
@@ -250,9 +249,8 @@ def test_synthetic_breakpoint_detected():
     L_ref = 2.0
     alphas = np.array([1.0, 1.0, 0.3 / L_ref, 1.0])
     thetas = np.array([1.0, 1.0, 0.2, 1.0])
-    tr = Trace(problem_label="synthetic", problem_kind="custom", rule_name="adgd2",
-               prox_run=False, theta0=1 / 3, alpha0=1.0, alpha0_searched=True,
-               grad_tol=1e-8, status="max_iter", iters=4,
+    tr = Trace(rule=AdGD2(), prox_run=False, alpha0=1.0, alpha0_searched=True,
+               status="max_iter", iters=4,
                alphas=alphas, thetas=thetas,
                curvatures=np.array([0.0, L_ref, L_ref, L_ref]),
                step_norms=np.ones(4), F_steps=np.zeros(4),
@@ -285,6 +283,17 @@ def test_divergence_pattern_c2():
                                                 divergence_norm=1e30))
     rep = check_divergence_pattern(tr, c=2.0)
     assert rep.passed
+
+
+def test_divergence_pattern_takes_c_from_the_rule_not_its_name():
+    # BadGD(1.9999999) is named badgd_c2, but c < 2: no odd-step half-bound
+    inst = make_counterexample(20.0)
+    cfg = RunConfig(max_iter=200, grad_tol=1e-14, divergence_norm=1e30)
+    tr = run_solver(inst, BadGD(1.9999999), cfg)
+    assert tr.rule_name == "badgd_c2"
+    rep = check_divergence_pattern(tr)
+    assert rep.n_checked == check_divergence_pattern(tr, c=1.0).n_checked == 24
+    assert check_divergence_pattern(tr, c=2.0).n_checked == 30
 
 
 def test_divergence_pattern_control_converges():

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgd.accounting import (CSV_COUNTER_FIELDS, Counters, apply_event, count_essential,
-                             essential_units)
+from adgd.accounting import Counters, apply_event, count_essential, essential_units
 from adgd.experiments import (
+    CSV_COUNTER_FIELDS,
+    CSV_HEADER,
     ConfigError,
     DEFAULT_ARMIJO_PAIRS,
     ops_to_accuracy,
@@ -41,7 +42,7 @@ from adgd.problems import (
 )
 from adgd.reference import make_reference, reference_path
 from adgd.solvers import (RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD, RunConfig,
-                          Trace, run_solver)
+                          run_solver)
 
 GOOD_CONFIG = """
 # minimal experiment
@@ -216,6 +217,16 @@ def test_rule_dicts_round_trip_through_registry():
         rule_from_dict({"kind": "newton"})
 
 
+@pytest.mark.parametrize("d", [
+    {"kind": "armijo", "s": 1.2}, {"kind": "fixed", "alpha": math.nan},
+    {"kind": "badgd", "c": 2.0, "x": 1.0}, {"kind": "fixed", "alpha": [0.5]},
+    {"kind": ["adgd2"]}, {"s": 1.2, "r": 0.5},
+])
+def test_rule_dicts_get_the_config_checks(d):
+    with pytest.raises(ConfigError):
+        rule_from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # essential-operation accounting
 # ---------------------------------------------------------------------------
@@ -305,7 +316,7 @@ def _csv_text_cell_by_cell(trace):
     # the formatter trace_csv_text replaced: a type dispatch on every cell
     def cell(v):
         return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
-    lines = [Trace.CSV_HEADER] + [",".join(map(cell, row)) for row in _trace_rows(trace)]
+    lines = [CSV_HEADER] + [",".join(map(cell, row)) for row in _trace_rows(trace)]
     return "\n".join(lines) + "\n"
 
 
@@ -532,6 +543,42 @@ def test_cli_run_check_plot_cycle(tmp_path):
     text[2] = ",".join(cells)
     victim.write_text("\n".join(text) + "\n")
     assert cli_main(["check", "--run", str(tmp_path / "out")]) == 4
+
+
+def _with_cell(change):
+    def edit(text):
+        meta = json.loads(text)
+        change(meta["cells"][-1])
+        return json.dumps(meta)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(None, id="no meta.json"),
+    pytest.param(lambda text: text[:-5], id="not JSON"),
+    pytest.param(lambda text: text.replace("adgd-run-meta-v1", "adgd-run-meta-v0"),
+                 id="another format"),
+    pytest.param(_with_cell(lambda cell: cell.update(rule={"kind": "armijo", "s": 1.2})),
+                 id="rule its class rejects"),
+    pytest.param(_with_cell(lambda cell: cell["problem"].update(kind="banana")),
+                 id="unknown problem kind"),
+])
+@pytest.mark.parametrize("command", ["check", "plot"])
+def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsys,
+                                                      edit, command):
+    out, _, _ = small_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for csv in out.glob("*.csv"):
+        (run_dir / csv.name).write_bytes(csv.read_bytes())
+    if edit is not None:
+        (run_dir / "meta.json").write_text(edit((out / "meta.json").read_text()))
+    files = sorted(run_dir.iterdir())
+    assert cli_main([command, "--run", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(run_dir.iterdir()) == files   # no report, no plot
 
 
 @pytest.mark.parametrize("argv", [

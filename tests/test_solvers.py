@@ -80,6 +80,27 @@ def test_curvature_stationary_raises():
         curvature_estimate([1.0], [1.0], [2.0], [3.0])
 
 
+def test_curvature_past_an_overflowing_square():
+    # ||d||^2 = 2e320 overflows; d is rescaled by max|d| = 1e160 first
+    L = curvature_estimate([1.0, 0.0], [0.0, 0.0], [1e160, -1e160], [0.0, 0.0])
+    assert L == 1e160 * SQ2
+    assert curvature_estimate([1.0], [0.0], [math.inf], [0.0]) == math.inf
+
+
+@pytest.mark.parametrize("rule, steps", [(AdGD2(), 124), (AdGD1(), 324), (OldAdGD(), 572)])
+def test_runs_past_an_overflowing_gradient_difference(rule, steps):
+    """Hessian diag(1, 1e160) from x0 = (1, 1e-150) with alpha0 = 1: the first
+    gradient difference has norm 1e170, whose square overflows.  L_1 is still
+    1e160, not inf, so the next step is positive and the run converges."""
+    h = np.array([1.0, 1e160])
+    f = SmoothFunction(2, lambda x: 0.5 * float(x @ (h * x)), lambda x: h * x, name="stiff")
+    problem = instance(composite(f), [1.0, 1e-150])
+    tr = run_solver(problem, rule, RunConfig(max_iter=2000, alpha0=1.0, grad_tol=1e-9))
+    assert tr.curvatures[1] == 1e160
+    assert tr.curvatures[1] == curvature_estimate(tr.xs[1], tr.xs[0], tr.grads[1], tr.grads[0])
+    assert tr.status == "converged" and tr.iters == steps
+
+
 # ---------------------------------------------------------------------------
 # stepsize rules
 # ---------------------------------------------------------------------------
@@ -190,6 +211,49 @@ def test_recover_zero_for_smooth_runs():
     inst = make_quadratic(62, 6, 20.0)
     tr = run_solver(inst, AdGD2(), RunConfig(max_iter=50, grad_tol=1e-12))
     assert np.max(np.abs(tr.subgrads)) <= 1e-12
+
+
+def _prox_quadratic():
+    rng = np.random.default_rng(73)
+    M = rng.normal(size=(8, 8))
+    Q = M @ M.T + 0.5 * np.eye(8)
+    b = Q @ rng.normal(size=8)
+    f = SmoothFunction(8, lambda x: 0.5 * float(x @ (Q @ x)) - float(b @ x),
+                       lambda x: Q @ x - b)
+    return instance(composite(f, nonneg_indicator()), np.abs(rng.normal(size=8)))
+
+
+TRACE_RULES = [AdGD1(), AdGD2(), OldAdGD(), FixedStep(0.02), Armijo(1.2, 0.5),
+               BadGD(1.0), BadGD(2.0)]
+TRACE_PROBLEMS = {"quadratic": lambda: make_quadratic(74, 12, 30.0),
+                  "orthant": _prox_quadratic,
+                  "dual_entropy": lambda: make_dual_entropy(75, 15, 8)}
+
+
+@pytest.mark.parametrize("make, rule", [
+    pytest.param(make, rule, id=f"{label}-{rule.name}")
+    for label, make in TRACE_PROBLEMS.items() for rule in TRACE_RULES
+    if label == "quadratic" or rule.prox_ok])   # only the quadratic is smooth
+def test_derived_trace_arrays_match_step_by_step_rebuild(make, rule):
+    """Trace.subgrads and Trace.F_values, derived from the trajectory, have the
+    bits of recover_subgradient per step and of [F_initial, *F_steps]."""
+    tr = run_solver(make(), rule, RunConfig(max_iter=80, grad_tol=1e-12, alpha0=0.05))
+    v = [np.zeros_like(tr.xs[0])]
+    for k in range(tr.iters):
+        v.append(recover_subgradient(tr.xs[k + 1], tr.xs[k], tr.grads[k], tr.alphas[k])
+                 if tr.prox_run else np.zeros_like(tr.xs[0]))
+    assert tr.iters > 5 and tr.xs.shape[0] == tr.iters + 1
+    assert tr.subgrads.tobytes() == np.asarray(v).tobytes()
+    assert tr.F_values.tobytes() == np.asarray([tr.F_initial, *tr.F_steps]).tobytes()
+    if tr.prox_run:
+        assert np.any(tr.subgrads != 0.0)
+
+
+def test_derived_trace_arrays_need_a_trajectory():
+    tr = run_solver(make_quadratic(76, 6, 10.0), AdGD2(),
+                    RunConfig(max_iter=20, record_trace=False))
+    assert tr.xs is None and tr.subgrads is None and tr.F_values is None
+    assert tr.rule == AdGD2() and tr.rule_name == "adgd2"
 
 
 def test_recover_orthant_hand_example():
@@ -375,7 +439,7 @@ def test_run_determinism_bitwise():
     t2 = run_solver(inst, AdGD2(), cfg)
     assert np.array_equal(t1.xs, t2.xs)
     assert np.array_equal(t1.alphas, t2.alphas)
-    assert t1.counters.as_dict() == t2.counters.as_dict()
+    assert t1.counters == t2.counters   # dataclass equality, field by field
 
 
 def test_run_nan_gradient_raises_with_index():
