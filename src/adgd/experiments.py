@@ -491,7 +491,7 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
 
 def read_meta(run_dir) -> dict:
     """The parsed ``meta.json`` of a run directory.  ConfigError unless it is run
-    metadata whose every cell has a valid rule and a known problem kind."""
+    metadata whose every cell has a valid rule, a known problem kind and its CSV."""
     path = Path(run_dir) / "meta.json"
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
@@ -501,6 +501,8 @@ def read_meta(run_dir) -> dict:
             rule_from_dict(cell["rule"], f"cell {i} of {path}")
             if cell["problem"]["kind"] not in MAKERS:
                 raise ConfigError(f"unknown problem in cell {i} of {path}")
+            if not (path.parent / cell["csv"]).is_file():
+                raise ConfigError(f"missing CSV {cell['csv']!r} of cell {i} of {path}")
     except ConfigError:
         raise
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:

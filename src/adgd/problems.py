@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     CompositeProblem,
@@ -145,6 +144,7 @@ def make_logistic(seed: int, d: int) -> ProblemInstance:
     The infimum 0 is not attained, so references for it are plateau anchors
     produced by a long run rather than true minimizers.
     """
+    from scipy.special import expit  # here, not at the top: SciPy doubles `import adgd`
     rng = np.random.default_rng(seed)
     a = rng.normal(size=d)
     y = 1.0 if rng.random() < 0.5 else -1.0

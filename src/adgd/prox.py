@@ -10,7 +10,6 @@ eigendecomposition for the spectral box, one SVD for the nuclear ball, and so on
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import NumericalError, ProxFriendly
 
@@ -46,24 +45,25 @@ def _simplex_threshold(a: np.ndarray, r: float) -> float:
     return (css[rho] - r) / (rho + 1.0)
 
 
-def project_affine(z: np.ndarray, A: np.ndarray, b: np.ndarray, factor=None) -> np.ndarray:
-    """Projection onto {x : Ax = b} for full-row-rank A (m <= n).
+def project_affine(z: np.ndarray, A: np.ndarray, b: np.ndarray, pinv=None) -> np.ndarray:
+    """Projection z - A^+ (Az - b) onto {x : Ax = b} for full-row-rank A (m <= n).
 
-    ``factor`` caches ``cho_factor(A A^T)``; pass it when projecting many
-    times against the same constraints.
+    ``pinv`` caches ``affine_pinv(A)``; pass it when projecting many times
+    against the same constraints.
     """
     z = np.asarray(z, dtype=np.float64)
-    if factor is None:
-        factor = affine_factor(A)
-    return z - A.T @ cho_solve(factor, A @ z - b)
+    if pinv is None:
+        pinv = affine_pinv(A)
+    return z - pinv @ (A @ z - b)
 
 
-def affine_factor(A: np.ndarray):
-    """Cholesky factor of A A^T; raises on rank deficiency."""
-    try:
-        return cho_factor(A @ A.T)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-        raise NumericalError("A A^T is not positive definite (rank-deficient A)") from exc
+def affine_pinv(A: np.ndarray) -> np.ndarray:
+    """A^+ = A^T (A A^T)^-1 = Q R^-T from a QR of A^T; raises on rank deficiency."""
+    Q, R = np.linalg.qr(A.T)
+    d = np.abs(np.diag(R))
+    if A.shape[0] > A.shape[1] or d.min() <= max(A.shape) * np.finfo(float).eps * d.max():
+        raise NumericalError("A is rank-deficient (no projection onto Ax = b)")
+    return np.linalg.solve(R, Q.T).T
 
 
 def project_spectral_box(Z: np.ndarray, l: float, u: float) -> np.ndarray:
@@ -127,10 +127,10 @@ def nonneg_indicator(feas_tol: float = 1e-9) -> ProxFriendly:
 
 
 def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
-    """Indicator of {x : Ax = b} with a cached factorization of A A^T."""
+    """Indicator of {x : Ax = b} with A^+ computed once."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
-    factor = affine_factor(A)
+    pinv = affine_pinv(A)
     A.flags.writeable = False
     b.flags.writeable = False
     tol = 1e-8 * (1.0 + np.linalg.norm(b))
@@ -140,7 +140,7 @@ def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
 
     return ProxFriendly(
         value=value,
-        prox=lambda alpha, z: project_affine(z, A, b, factor),
+        prox=lambda alpha, z: project_affine(z, A, b, pinv),
         name="affine",
         cost={"projection_count": 1},
     )

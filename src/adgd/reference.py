@@ -31,7 +31,7 @@ REFERENCE_GRAD_TOL = 1e-12
 REFERENCE_MAX_ITER = 10 ** 6
 
 
-CACHE_FORMAT = "adgd-reference-v3"
+CACHE_FORMAT = "adgd-reference-v4"
 
 
 def _cache_settings(inst: ProblemInstance, grad_tol: float, max_iter: int) -> str:

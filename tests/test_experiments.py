@@ -581,6 +581,27 @@ def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsy
     assert sorted(run_dir.iterdir()) == files   # no report, no plot
 
 
+@pytest.mark.parametrize("command", ["check", "plot"])
+def test_check_and_plot_with_a_missing_cell_csv_exit_2(small_run, tmp_path, capsys,
+                                                       monkeypatch, command):
+    out, _, results = small_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for f in out.iterdir():
+        if f.is_file() and f.name != results[-1].csv_name:
+            (run_dir / f.name).write_bytes(f.read_bytes())
+    files = sorted(run_dir.iterdir())
+    solves = []
+    monkeypatch.setattr(adgd.experiments, "run_solver", lambda *a: solves.append(a))
+    assert cli_main([command, "--run", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert results[-1].csv_name in captured.err
+    assert solves == []                         # no cell was rerun
+    assert sorted(run_dir.iterdir()) == files   # no report, no plot
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--problem", "mle", "--out", "g.json"],
     ["run", "--config", "c.ini"],
@@ -654,6 +675,52 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
                             if p.suffix in (".csv", ".json")}
     assert len(outputs["1"]) == 7   # five cells, summary.csv, meta.json
     assert outputs["1"] == outputs["2"]
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import adgd.cli
+from adgd.problems import EXPERIMENT_KINDS, make_problem
+for scale in ("desk", "paper"):
+    for kind in EXPERIMENT_KINDS:
+        inst = make_problem(kind, 1, scale)
+        inst.composite.f.value(inst.x0)
+        inst.composite.g.prox(1.0, inst.x0 + inst.composite.f.gradient(inst.x0))
+assert adgd.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+NO_SCIPY_CELLS = """
+[experiment]
+seed = 1
+plot = yes
+max_iter = 30
+reference = auto
+
+[run.curve]
+problem = curve
+rule = adproxgd
+
+[run.mle]
+problem = mle
+rule = adproxgd
+"""
+
+
+def test_cli_and_every_experiment_kind_run_without_scipy(tmp_path):
+    # SciPy's import is half of `import adgd.cli`; no experiment path may load it,
+    # at import or later in a run, its references and plots included
+    cfg = tmp_path / "cells.cfg"
+    cfg.write_text(NO_SCIPY_CELLS)
+    src = str(Path(adgd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "references").is_dir()
+    assert (tmp_path / "out" / "curve_gap_vs_ops.svg").is_file()
 
 
 CHECK_ONE_CELL = """

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from adgd.core import NumericalError
+from adgd.problems import make_problem
 from adgd.prox import (
     SpectralBox,
     affine_indicator,
@@ -90,8 +93,35 @@ def test_affine_idempotent():
 
 def test_affine_rank_deficient_rejected():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(Exception):
+    with pytest.raises(NumericalError):
         affine_indicator(A, np.array([1.0, 1.0]))
+
+
+def test_affine_more_rows_than_columns_rejected():
+    with pytest.raises(NumericalError):
+        affine_indicator(np.ones((3, 2)) + np.eye(3, 2), np.ones(3))
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_affine_matches_cholesky_projection(scale):
+    # z - A^+ (Az - b) against z - A^T (A A^T)^-1 (Az - b) through a Cholesky
+    # factor of A A^T, on the curve constraints; the tolerance was fixed
+    # before the first run
+    inst = make_problem("curve", 1, scale)
+    m, n = inst.metadata["m"], inst.metadata["n"]
+    rng = np.random.default_rng(1)          # make_min_curve's first draw
+    A = rng.normal(size=(m, n))
+    b = A @ rng.normal(size=n)
+    factor = cho_factor(A @ A.T)
+    g = inst.composite.g
+    rng = np.random.default_rng(11)
+    for scale_z in (1e-3, 1.0, 1e3):
+        for _ in range(20):
+            z = scale_z * rng.normal(size=n)
+            p = project_affine(z, A, b)
+            assert np.array_equal(g.prox(1.0, z), p)   # the same A and b as the instance
+            chol = z - A.T @ cho_solve(factor, A @ z - b)
+            assert np.linalg.norm(p - chol) <= 1e-13 * (1 + np.linalg.norm(z))
 
 
 # ---------------------------------------------------------------------------
