@@ -8,7 +8,7 @@ need, seeded problem generators, trajectory-level certificates of the
 supporting inequalities, and a batch experiment harness.
 """
 
-from .accounting import Counters, count_essential, essential_metric_name, essential_units
+from .accounting import Counters, essential_metric_name, essential_units
 from .core import (
     CompositeProblem,
     DimensionMismatch,
@@ -18,7 +18,6 @@ from .core import (
     SmoothFunction,
     composite,
     evaluate_composite,
-    finite_difference_gradient,
 )
 from .problems import (
     ProblemInstance,
@@ -43,7 +42,6 @@ from .prox import (
     project_nonneg,
     project_nuclear_ball,
     project_spectral_box,
-    prox_zero,
 )
 from .solvers import (
     AdGD1,
@@ -57,9 +55,6 @@ from .solvers import (
     StepsizeRule,
     Trace,
     armijo_search,
-    curvature_estimate,
-    initial_stepsize_search,
-    recover_subgradient,
     run_solver,
 )
 

@@ -58,24 +58,6 @@ def apply_event(counters: Counters, cost_model: dict, event: str) -> None:
     counters.bump(cost_model[event])
 
 
-def count_essential(kind: str, events, cost_model: dict = None) -> Counters:
-    """Replay an event stream into Counters.
-
-    ``cost_model`` defaults to plain per-call counting; pass the problem's own
-    model to pick up projection/SVD/eig attribution.
-    """
-    if cost_model is None:
-        cost_model = {
-            "value": {"func_evals": 1},
-            "gradient": {"grad_evals": 1},
-            "prox": {"prox_evals": 1},
-        }
-    counters = Counters()
-    for event in events:
-        apply_event(counters, cost_model, event)
-    return counters
-
-
 # (metric name, weights) per problem kind; weights apply to
 # (grad_evals, func_evals - reused_evals, prox-related count)
 _ESSENTIAL = {

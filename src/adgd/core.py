@@ -22,17 +22,9 @@ class NumericalError(RuntimeError):
     """A non-finite value appeared where a finite one was required."""
 
 
-def as_point(x) -> np.ndarray:
-    """Return ``x`` as a 1-d float64 array, validating finiteness."""
-    p = np.asarray(x, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(p)):
-        raise NumericalError("point has non-finite entries")
-    return p
-
-
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Differentiable convex piece: value and exact gradient oracles.
+    """Differentiable piece: value and exact gradient oracles.
 
     ``lipschitz`` holds a known global smoothness constant when one exists
     (quadratics, logistic); ``None`` for merely locally smooth objectives.
@@ -43,7 +35,6 @@ class SmoothFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     name: str = "f"
     lipschitz: Optional[float] = None
-    convex: bool = True
 
     def check_dim(self, x: np.ndarray) -> None:
         if x.shape != (self.dimension,):
@@ -137,37 +128,6 @@ def evaluate_composite(p: CompositeProblem, x) -> float:
     if gx == np.inf:
         return np.inf
     return float(p.f.value(x)) + float(gx)
-
-
-def finite_difference_gradient(f: SmoothFunction, x, h: Optional[float] = None) -> np.ndarray:
-    """Central-difference gradient estimate, componentwise.
-
-    With ``h=None`` each coordinate uses the relative step 1e-6 * (1 + |x_i|).
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    f.check_dim(x)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        hi = h if h is not None else 1e-6 * (1.0 + abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = hi
-        fp = f.value(x + e)
-        fm = f.value(x - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalError(f"non-finite value in finite difference at coordinate {i}")
-        out[i] = (fp - fm) / (2.0 * hi)
-    return out
-
-
-def cocoercivity_gap(f: SmoothFunction, x, y, lipschitz: float) -> float:
-    """<grad f(y) - grad f(x), y - x> - ||grad f(y) - grad f(x)||^2 / L.
-
-    Nonnegative for convex L-smooth f.
-    """
-    x = as_point(x)
-    y = as_point(y)
-    dg = f.gradient(y) - f.gradient(x)
-    return float(np.dot(dg, y - x) - np.dot(dg, dg) / lipschitz)
 
 
 # ---------------------------------------------------------------------------

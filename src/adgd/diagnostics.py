@@ -89,7 +89,7 @@ def check_feasibility(problem, trace: Trace) -> CertificateReport:
     if not trace.prox_run:
         return _not_applicable(name, "no prox-friendly part")
     _need_recorded(trace)
-    g = getattr(problem, "composite", problem).g
+    g = problem.composite.g
     viol = [0.0 if math.isfinite(g.value(x)) else math.inf for x in trace.xs]
     return _report(name, viol, range(len(viol)), 0.0)
 
@@ -471,12 +471,11 @@ def run_certificates(problem, trace: Trace,
     skipped with a note for nonconvex objectives; the stepsize-recurrence
     facts hold unconditionally and are always evaluated.
     """
-    convex = getattr(problem, "convex", True)
     reports = []
     reports.extend(check_stepsize_bounds(trace))
     reports.extend(check_stepsize_sum(trace, L_ref))
     reports.append(check_subgradient_monotonicity(trace))
-    if convex:
+    if problem.convex:
         reports.append(check_gradient_monotonicity(trace))
         if reference is not None:
             if trace.prox_run:

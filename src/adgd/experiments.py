@@ -90,8 +90,8 @@ class ExperimentConfig:
         out = []
         for kind in self.problems:
             out.append(RunSpec(f"{kind}__adaptive", kind, AdGD2()))
-            for s, r in DEFAULT_ARMIJO_PAIRS:
-                out.append(RunSpec(f"{kind}__armijo_s{s:g}_r{r:g}", kind, Armijo(s, r)))
+            for rule in [Armijo(s, r) for s, r in DEFAULT_ARMIJO_PAIRS]:
+                out.append(RunSpec(f"{kind}__{rule.name}", kind, rule))
         return out
 
 
@@ -450,9 +450,8 @@ def plot_run_dir(run_dir) -> List[Path]:
             loaded.append((cell, cols))
             if cols["F"].size:
                 best = min(best, float(np.min(cols["F"])))
-        ref = cached_reference(instance_from_descriptor(cells[0]["problem"]),
-                               run_dir / "references") \
-            if meta.get("reference") == "auto" else None
+        ref = cached_reference(_cell_instance(cells[0]), run_dir / "references") \
+            if meta["reference"] == "auto" else None
         anchor = ref.F_star if ref is not None else best
         for cell, cols in loaded:
             ops = row_essential_units(kind, cell["rule"]["kind"], cols)
@@ -491,12 +490,15 @@ def check_run_dir(run_dir, reports_out: Optional[Path] = None):
 
 def read_meta(run_dir) -> dict:
     """The parsed ``meta.json`` of a run directory.  ConfigError unless it is run
-    metadata whose every cell has a valid rule, a known problem kind and its CSV."""
+    metadata whose settings and every cell's rule, problem kind and CSV are valid."""
     path = Path(run_dir) / "meta.json"
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         if meta.get("format") != META_FORMAT:
             raise ConfigError(f"{path} is not run metadata of format {META_FORMAT}")
+        _rerun_config(meta)
+        if meta["reference"] not in ("auto", "none"):
+            raise ConfigError(f"reference must be auto or none in {path}")
         for i, cell in enumerate(meta["cells"]):
             rule_from_dict(cell["rule"], f"cell {i} of {path}")
             if cell["problem"]["kind"] not in MAKERS:
@@ -510,24 +512,37 @@ def read_meta(run_dir) -> dict:
     return meta
 
 
+def _rerun_config(meta: dict) -> RunConfig:
+    """The settings of a run's ``meta.json``; TypeError or ValueError if invalid."""
+    return RunConfig(max_iter=meta["max_iter"], grad_tol=meta["grad_tol"],
+                     alpha0=meta["alpha0"], record_trace=True, record_rows=True)
+
+
+def _cell_instance(cell: dict) -> ProblemInstance:
+    """The problem of a ``meta.json`` cell, or ConfigError naming the cell."""
+    try:
+        return instance_from_descriptor(cell["problem"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot build the problem of cell {cell['csv']!r}: {exc}") from None
+
+
 def _certifier(meta: dict, run_dir: Path):
     """``certify(i)``: cell i of the parsed ``meta.json`` rebuilt, rerun and
     certified, as (tag, csv_text, certificate lines, ok).  Instances, rules and
     references are built here, before any worker starts: no two workers ever
     build the same reference."""
-    cache = run_dir / "references" if meta.get("reference") == "auto" else None
+    cache = run_dir / "references" if meta["reference"] == "auto" else None
     cells = meta["cells"]
     keys = [json.dumps(cell["problem"], sort_keys=True) for cell in cells]
     instances: dict = {}
     references: dict = {}
     for key, cell in zip(keys, cells):
         if key not in instances:
-            inst = instances[key] = instance_from_descriptor(cell["problem"])
+            inst = instances[key] = _cell_instance(cell)
             if cache is not None and inst.convex:
                 references[key] = make_reference(inst, cache)
     rules = [rule_from_dict(cell["rule"]) for cell in cells]
-    cfg = RunConfig(max_iter=meta["max_iter"], grad_tol=meta["grad_tol"],
-                    alpha0=meta["alpha0"], record_trace=True, record_rows=True)
+    cfg = _rerun_config(meta)
 
     def certify(i):
         inst = instances[keys[i]]

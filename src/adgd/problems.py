@@ -181,7 +181,6 @@ def make_quartic() -> ProblemInstance:
         value=lambda x: float(x[0] ** 4),
         gradient=lambda x: np.array([4.0 * x[0] ** 3]),
         name="quartic",
-        lipschitz=None,
     )
     return ProblemInstance(
         kind="quartic",
@@ -362,7 +361,6 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
         value=value,
         gradient=gradient,
         name=f"curve(m={m},n={n})",
-        lipschitz=None,
     )
     g = affine_indicator(A, b)
     x0 = project_affine(np.zeros(n), A, b)
@@ -411,8 +409,6 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
         value=value,
         gradient=gradient,
         name=f"nmf(n={n},r={r})",
-        lipschitz=None,
-        convex=False,
     )
     x0 = np.abs(np.random.default_rng([seed, 7001, start_index]).normal(size=dim))
     return ProblemInstance(
@@ -489,7 +485,6 @@ def make_dual_entropy(seed: int, m: int, n: int) -> ProblemInstance:
         value=value,
         gradient=gradient,
         name=f"dual_entropy(m={m},n={n})",
-        lipschitz=None,
     )
     return ProblemInstance(
         kind="dual_entropy",
@@ -567,6 +562,4 @@ def instance_descriptor(inst: ProblemInstance) -> dict:
 def instance_from_descriptor(desc: dict) -> ProblemInstance:
     if desc.get("format") != "adgd-problem-v1":
         raise ValueError("unrecognized problem container format")
-    kind = desc["kind"]
-    params = dict(desc.get("params", {}))
-    return MAKERS[kind](seed=desc["seed"], **params)
+    return MAKERS[desc["kind"]](seed=desc["seed"], **desc.get("params", {}))

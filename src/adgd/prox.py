@@ -103,11 +103,6 @@ def project_nuclear_ball(Z: np.ndarray, r: float) -> np.ndarray:
     return (U * shrunk) @ Vt
 
 
-def prox_zero(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Prox of g = 0 is the identity, for any stepsize."""
-    return np.asarray(z, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # ProxFriendly factories (flattened-point interface used by the solvers)
 # ---------------------------------------------------------------------------

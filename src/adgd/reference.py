@@ -40,15 +40,10 @@ def _cache_settings(inst: ProblemInstance, grad_tol: float, max_iter: int) -> st
                       sort_keys=True)
 
 
-def reference_key(inst: ProblemInstance, grad_tol: float = REFERENCE_GRAD_TOL,
-                  max_iter: int = REFERENCE_MAX_ITER) -> str:
-    settings = _cache_settings(inst, grad_tol, max_iter)
-    return hashlib.sha256(settings.encode()).hexdigest()[:16]
-
-
 def reference_path(cache_dir, inst: ProblemInstance, grad_tol: float = REFERENCE_GRAD_TOL,
                    max_iter: int = REFERENCE_MAX_ITER) -> Path:
-    key = reference_key(inst, grad_tol, max_iter)
+    settings = _cache_settings(inst, grad_tol, max_iter)
+    key = hashlib.sha256(settings.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"ref_{inst.kind}_{key}.npz"
 
 

@@ -14,6 +14,7 @@ shipped to demonstrate why the growth bound is not optional.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -33,10 +34,6 @@ class LinesearchStalled(RuntimeError):
 
 class StationaryStart(RuntimeError):
     """The starting point already has zero gradient."""
-
-
-class StationaryStep(RuntimeError):
-    """Zero displacement between consecutive iterates."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,50 +189,23 @@ def _norm(d) -> float:
     return math.sqrt(sq)
 
 
-def curvature_estimate(x_curr, x_prev, grad_curr, grad_prev) -> float:
-    """||grad difference|| / ||point difference||; zero if gradients agree.
-
-    Takes flat points; the norms are the ones the iteration loop computes.
-    """
-    with np.errstate(over="ignore"):
-        dx = _norm(np.subtract(x_curr, x_prev))
-        if dx == 0.0:
-            raise StationaryStep("consecutive iterates coincide")
-        return _norm(np.subtract(grad_curr, grad_prev)) / dx
-
-
-def recover_subgradient(x_next, x_curr, grad_curr, alpha: float) -> np.ndarray:
-    """Subgradient of g at x_next implied by the proximal step.
-
-    From x_next = prox_{alpha g}(x_curr - alpha grad_curr):
-    v = (x_curr - x_next)/alpha - grad_curr lies in the subdifferential of g
-    at x_next by the prox optimality condition.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return (np.asarray(x_curr) - np.asarray(x_next)) / alpha - np.asarray(grad_curr)
-
-
 def _eval_gradient(comp, x, on_event):
-    if on_event is not None:
-        on_event("gradient")
+    on_event("gradient")
     return comp.f.gradient(x)
 
 
 def _eval_value(comp, x, on_event):
-    if on_event is not None:
-        on_event("value")
+    on_event("value")
     return float(comp.f.value(x))
 
 
 def _eval_prox(comp, alpha, z, on_event):
-    if on_event is not None:
-        on_event("prox")
+    on_event("prox")
     return comp.g.prox(alpha, z)
 
 
 def armijo_search(comp, x, g, alpha_prev: float, s: float, r: float, f_curr: float,
-                  on_event: Optional[Callable] = None):
+                  on_event: Callable):
     """Backtracking from s * alpha_prev: accept the first candidate with
 
         f(y) <= f(x) + <grad f(x), y - x> + ||y - x||^2 / (2 alpha),
@@ -243,7 +213,7 @@ def armijo_search(comp, x, g, alpha_prev: float, s: float, r: float, f_curr: flo
     where ``g`` is grad f(x) and ``f_curr`` is f(x).  Returns (alpha, x_next,
     f_next, ls_evals) where ls_evals counts the trials performed; each trial
     costs one f evaluation (plus one prox when the problem has a prox-friendly
-    part).  The accepted evaluation is the reusable one.
+    part), reported to ``on_event``.  The accepted evaluation is the reusable one.
     """
     prox_run = comp.has_prox_part
     for i in range(MAX_LINESEARCH_TRIALS + 1):
@@ -267,27 +237,15 @@ ALPHA0_HIGH = 2.0
 ALPHA0_CAP = 1e8
 
 
-def initial_stepsize_search(problem, x0=None, cap: float = ALPHA0_CAP,
-                            on_event: Optional[Callable] = None) -> float:
-    """Pick alpha0 with alpha0 * L_1(alpha0) in [1/sqrt(2), 2].
+def _alpha0_search(comp, x0, g0, on_event):
+    """Pick alpha0 with alpha0 * L_1(alpha0) in [1/sqrt(2), 2], given g0 = grad f(x0).
 
     L_1 is measured between x0 and the point the first update would produce
     with the candidate alpha0 (through the prox for composite problems).
     Geometric search with factor 10, refined by log-space bisection when a
-    factor-10 jump leaps over the target window; returns ``cap`` for
+    factor-10 jump leaps over the target window; returns ``ALPHA0_CAP`` for
     degenerate problems whose product never reaches the window from below.
     """
-    comp = getattr(problem, "composite", problem)
-    if x0 is None:
-        x0 = getattr(problem, "x0", None)
-        if x0 is None:
-            raise ValueError("x0 required when passing a bare composite problem")
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    g0 = _eval_gradient(comp, x0, on_event)
-    return _alpha0_search(comp, x0, g0, cap, on_event)
-
-
-def _alpha0_search(comp, x0, g0, cap, on_event):
     if float(np.linalg.norm(g0)) == 0.0:
         raise StationaryStart("gradient at x0 is zero; already stationary")
     prox_run = comp.has_prox_part
@@ -315,20 +273,20 @@ def _alpha0_search(comp, x0, g0, cap, on_event):
                 hi = mid
         raise NumericalError("initial stepsize bisection failed to land in the window")
 
-    alpha = min(1.0, cap)
+    alpha = 1.0
     p = product(alpha)
     if ALPHA0_LOW <= p <= ALPHA0_HIGH:
         return alpha
     if p < ALPHA0_LOW:
-        while alpha < cap:
-            nxt = min(10.0 * alpha, cap)
+        while alpha < ALPHA0_CAP:
+            nxt = min(10.0 * alpha, ALPHA0_CAP)
             p_nxt = product(nxt)
             if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
                 return nxt
             if p_nxt > ALPHA0_HIGH:
                 return bisect(alpha, nxt)
             alpha = nxt
-        return cap  # degenerate: product stays below the window
+        return ALPHA0_CAP  # degenerate: product stays below the window
     for _ in range(600):
         nxt = alpha / 10.0
         p_nxt = product(nxt)
@@ -355,14 +313,14 @@ class RunConfig:
     divergence_norm: float = DIVERGENCE_NORM
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        # a setting of the wrong type raises TypeError here, not in the loop
+        if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if isinstance(self.alpha0, str) and self.alpha0 != "search":
+        if self.alpha0 != "search" and not (isinstance(self.alpha0, (int, float))
+                                            and self.alpha0 > 0):
             raise ValueError("alpha0 must be a positive float or 'search'")
-        if isinstance(self.alpha0, (int, float)) and not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
         if self.record_trace and not self.record_rows:
             raise ValueError("record_trace requires record_rows")
 
@@ -407,8 +365,9 @@ class Trace:
 
     @property
     def subgrads(self) -> Optional[np.ndarray]:
-        """v^0 = 0, then ``recover_subgradient`` of each step, computed in place on
-        each read; zeros without a prox-friendly part."""
+        """v^0 = 0, then v^{k+1} = (x^k - x^{k+1}) / alpha_k - grad f(x^k), the
+        subgradient of g at x^{k+1} that the prox step implies, computed in place
+        on each read; zeros without a prox-friendly part."""
         if self.xs is None:
             return None
         v = np.zeros_like(self.xs)
@@ -446,7 +405,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     rule other than the divergent variant raise a hard error with the step
     index.
     """
-    comp = getattr(problem, "composite", problem)
+    comp = problem.composite
     prox_run = comp.has_prox_part
     if prox_run and not rule.prox_ok:
         raise TypeError(f"rule {rule!r} is not valid for this problem")
@@ -472,7 +431,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     if rule.fixed_alpha0 is not None:
         alpha0 = rule.fixed_alpha0
     elif searched:
-        alpha0 = _alpha0_search(comp, x0, g0, ALPHA0_CAP, on_event)
+        alpha0 = _alpha0_search(comp, x0, g0, on_event)
     else:
         alpha0 = float(config.alpha0)
 
@@ -500,8 +459,8 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 L_k = override
             elif k == 0:
                 L_k = 0.0
-            else:   # curvature_estimate; ||x^k - x^{k-1}|| is the last step's norm,
-                    # which is positive: a zero step stopped the run as converged
+            else:   # ||x^k - x^{k-1}|| is the last step's norm, which is
+                    # positive: a zero step stopped the run as converged
                 L_k = _norm(g_curr - g_prev) / step_norm
             if linesearch:
                 alpha_k, x_next, f_next, _ = armijo_search(

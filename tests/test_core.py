@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adgd.core import (
-    DimensionMismatch,
-    SmoothFunction,
-    cocoercivity_gap,
-    composite,
-    evaluate_composite,
-    finite_difference_gradient,
-)
+from adgd.core import DimensionMismatch, SmoothFunction, composite, evaluate_composite
 from adgd.problems import (
     counterexample_f,
     make_counterexample,
@@ -25,6 +18,8 @@ from adgd.problems import (
     make_quartic,
 )
 from adgd.prox import nonneg_indicator
+
+from oracles import cocoercivity_gap, finite_difference_gradient
 
 
 def half_norm_sq(n):

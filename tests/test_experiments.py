@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgd.accounting import Counters, apply_event, count_essential, essential_units
+from adgd.accounting import Counters, apply_event, essential_units
 from adgd.experiments import (
     CSV_COUNTER_FIELDS,
     CSV_HEADER,
@@ -231,10 +231,22 @@ def test_rule_dicts_get_the_config_checks(d):
 # essential-operation accounting
 # ---------------------------------------------------------------------------
 
+PLAIN_COSTS = {"value": {"func_evals": 1}, "gradient": {"grad_evals": 1},
+               "prox": {"prox_evals": 1}}
+
+
+def replay(events, cost_model=PLAIN_COSTS) -> Counters:
+    """Counters after ``apply_event`` of each event, as a run counts them."""
+    counters = Counters()
+    for event in events:
+        apply_event(counters, cost_model, event)
+    return counters
+
+
 def test_count_essential_nmf_linesearch_iteration():
     # three trials, one accepted and reused, then the next gradient
     events = ["prox", "value", "prox", "value", "prox", "value", "gradient", "reuse"]
-    c = count_essential("nmf", events)
+    c = replay(events)
     assert c.func_evals == 3 and c.reused_evals == 1 and c.grad_evals == 1
     assert essential_units("nmf", c) == 3 * 1 + (3 - 1)
 
@@ -242,7 +254,7 @@ def test_count_essential_nmf_linesearch_iteration():
 def test_count_essential_lrmc_adaptive_iteration():
     cost_model = {"value": {"func_evals": 1}, "gradient": {"grad_evals": 1},
                   "prox": {"prox_evals": 1, "svd_count": 1, "projection_count": 1}}
-    c = count_essential("lrmc", ["prox", "gradient"], cost_model)
+    c = replay(["prox", "gradient"], cost_model)
     assert c.svd_count == 1
     assert essential_units("lrmc", c) == 1.0
 
@@ -250,14 +262,14 @@ def test_count_essential_lrmc_adaptive_iteration():
 def test_count_essential_mle_two_trials():
     cost_model = {"value": {"func_evals": 1}, "gradient": {"grad_evals": 1},
                   "prox": {"prox_evals": 1, "eig_count": 1, "projection_count": 1}}
-    c = count_essential("mle", ["prox", "value", "prox", "value"], cost_model)
+    c = replay(["prox", "value", "prox", "value"], cost_model)
     assert c.eig_count == 2 and c.projection_count == 2
     assert essential_units("mle", c) == 2.0
 
 
 def test_unknown_event_rejected():
     with pytest.raises(ValueError):
-        count_essential("mle", ["teleport"])
+        replay(["teleport"])
     with pytest.raises(ValueError):
         apply_event(Counters(), {"value": {"no_such_counter": 1}}, "value")
 
@@ -553,6 +565,14 @@ def _with_cell(change):
     return edit
 
 
+def _with_meta(change):
+    def edit(text):
+        meta = json.loads(text)
+        change(meta)
+        return json.dumps(meta)
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(None, id="no meta.json"),
     pytest.param(lambda text: text[:-5], id="not JSON"),
@@ -562,6 +582,14 @@ def _with_cell(change):
                  id="rule its class rejects"),
     pytest.param(_with_cell(lambda cell: cell["problem"].update(kind="banana")),
                  id="unknown problem kind"),
+    pytest.param(_with_meta(lambda meta: meta.update(max_iter="abc")), id="max_iter abc"),
+    pytest.param(_with_meta(lambda meta: meta.update(max_iter=0)), id="max_iter 0"),
+    pytest.param(_with_meta(lambda meta: meta.update(max_iter=1.5)), id="max_iter 1.5"),
+    pytest.param(_with_meta(lambda meta: meta.pop("grad_tol")), id="no grad_tol"),
+    pytest.param(_with_meta(lambda meta: meta.update(grad_tol="tiny")), id="grad_tol text"),
+    pytest.param(_with_meta(lambda meta: meta.update(alpha0=-1)), id="alpha0 -1"),
+    pytest.param(_with_meta(lambda meta: meta.update(alpha0=None)), id="alpha0 null"),
+    pytest.param(_with_meta(lambda meta: meta.update(reference="maybe")), id="reference maybe"),
 ])
 @pytest.mark.parametrize("command", ["check", "plot"])
 def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsys,
@@ -579,6 +607,42 @@ def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert sorted(run_dir.iterdir()) == files   # no report, no plot
+
+
+def _first_cell_problem(change):
+    def edit(meta):
+        meta["reference"] = "auto"   # so that plot builds the problem too
+        change(meta["cells"][0]["problem"])
+    return _with_meta(edit)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_first_cell_problem(lambda desc: desc.update(
+        kind="curve", params={"m": 500, "n": 100})), id="curve with m > n"),
+    pytest.param(_first_cell_problem(lambda desc: desc.update(seed="x")), id="seed x"),
+    pytest.param(_first_cell_problem(lambda desc: desc["params"].update(q=1)),
+                 id="unknown parameter"),
+    pytest.param(_first_cell_problem(lambda desc: desc.pop("seed")), id="no seed"),
+])
+@pytest.mark.parametrize("command", ["check", "plot"])
+def test_check_and_plot_on_a_cell_problem_that_cannot_be_built_exit_2(
+        small_run, tmp_path, capsys, monkeypatch, edit, command):
+    out, _, results = small_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for csv in out.glob("*.csv"):
+        (run_dir / csv.name).write_bytes(csv.read_bytes())
+    (run_dir / "meta.json").write_text(edit((out / "meta.json").read_text()))
+    files = sorted(run_dir.iterdir())
+    solves = []
+    monkeypatch.setattr(adgd.experiments, "run_solver", lambda *a: solves.append(a))
+    assert cli_main([command, "--run", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(results[0].csv_name) in captured.err   # the cell is named
+    assert solves == []                         # no cell was rerun
+    assert sorted(run_dir.iterdir()) == files   # no report, no reference, no plot
 
 
 @pytest.mark.parametrize("command", ["check", "plot"])

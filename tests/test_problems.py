@@ -5,7 +5,7 @@ import pytest
 
 from scipy.special import logsumexp
 
-from adgd.core import NumericalError, finite_difference_gradient
+from adgd.core import NumericalError
 from adgd.problems import (
     EXPERIMENT_KINDS,
     MAKERS,
@@ -26,6 +26,8 @@ from adgd.problems import (
     make_quartic,
 )
 from adgd.solvers import AdGD2, BadGD, RunConfig, run_solver
+
+from oracles import finite_difference_gradient
 
 
 # ---------------------------------------------------------------------------

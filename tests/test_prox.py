@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from adgd.core import NumericalError
+from adgd.core import NumericalError, zero_prox_friendly
 from adgd.problems import make_problem
 from adgd.prox import (
     SpectralBox,
@@ -16,7 +16,6 @@ from adgd.prox import (
     project_nuclear_ball,
     project_spectral_box,
     prox_dual_entropy_domain,
-    prox_zero,
 )
 
 
@@ -230,9 +229,10 @@ def test_dual_entropy_domain_mu_free():
 
 
 def test_prox_zero_identity_and_alpha_free():
+    prox = zero_prox_friendly().prox   # g = 0 of a smooth problem
     z = np.array([1.0, -2.0])
-    assert np.array_equal(prox_zero(1.0, z), z)
-    assert np.array_equal(prox_zero(100.0, z), prox_zero(1.0, z))
+    assert np.array_equal(prox(1.0, z), z)
+    assert np.array_equal(prox(100.0, z), prox(1.0, z))
 
 
 # ---------------------------------------------------------------------------

@@ -15,22 +15,24 @@ from adgd.problems import (
 )
 from adgd.prox import nonneg_indicator
 from adgd.solvers import (
+    ALPHA0_CAP,
     AdGD1,
     AdGD2,
     Armijo,
     BadGD,
     FixedStep,
     LinesearchStalled,
+    MAX_LINESEARCH_TRIALS,
     OldAdGD,
     RunConfig,
     StationaryStart,
-    StationaryStep,
+    _alpha0_search,
+    _norm,
     armijo_search,
-    curvature_estimate,
-    initial_stepsize_search,
-    recover_subgradient,
     run_solver,
 )
+
+from oracles import curvature_estimate, recover_subgradient
 
 SQ2 = math.sqrt(2.0)
 
@@ -75,16 +77,13 @@ def test_curvature_counterexample_tails():
     assert abs(L - 2.0 / (13.0 * 21.0)) <= 1e-15
 
 
-def test_curvature_stationary_raises():
-    with pytest.raises(StationaryStep):
-        curvature_estimate([1.0], [1.0], [2.0], [3.0])
-
-
 def test_curvature_past_an_overflowing_square():
-    # ||d||^2 = 2e320 overflows; d is rescaled by max|d| = 1e160 first
-    L = curvature_estimate([1.0, 0.0], [0.0, 0.0], [1e160, -1e160], [0.0, 0.0])
-    assert L == 1e160 * SQ2
-    assert curvature_estimate([1.0], [0.0], [math.inf], [0.0]) == math.inf
+    # the loop's norm: ||d||^2 = 2e320 overflows; d is rescaled by max|d| = 1e160 first
+    with np.errstate(over="ignore"):   # as in the loop
+        assert _norm(np.array([1e160, -1e160])) == 1e160 * SQ2
+        assert _norm(np.array([math.inf, 0.0])) == math.inf
+    d = np.array([3.0, -4.0, 12.0])
+    assert _norm(d) == np.linalg.norm(d)   # below overflow: np.linalg.norm's bits
 
 
 @pytest.mark.parametrize("rule, steps", [(AdGD2(), 124), (AdGD1(), 324), (OldAdGD(), 572)])
@@ -97,7 +96,10 @@ def test_runs_past_an_overflowing_gradient_difference(rule, steps):
     problem = instance(composite(f), [1.0, 1e-150])
     tr = run_solver(problem, rule, RunConfig(max_iter=2000, alpha0=1.0, grad_tol=1e-9))
     assert tr.curvatures[1] == 1e160
-    assert tr.curvatures[1] == curvature_estimate(tr.xs[1], tr.xs[0], tr.grads[1], tr.grads[0])
+    dg = tr.grads[1] - tr.grads[0]   # its squared norm overflows: rescale by hand
+    scale = np.max(np.abs(dg))
+    dx = np.linalg.norm(tr.xs[1] - tr.xs[0])
+    assert tr.curvatures[1] == scale * np.linalg.norm(dg / scale) / dx
     assert tr.status == "converged" and tr.iters == steps
 
 
@@ -283,15 +285,20 @@ def test_recover_normal_cone_membership():
 def test_armijo_accepts_immediately_below_curvature():
     L, s = 1.0, 1.2
     f = composite(half_sq(1, scale=L))
-    alpha, y, fy, evals = armijo_search(f, vec(1.0), vec(1.0 * L), 0.5 / s, s, 0.5, 0.5)
+    events = []
+    alpha, y, fy, evals = armijo_search(f, vec(1.0), vec(1.0 * L), 0.5 / s, s, 0.5, 0.5,
+                                        events.append)
     assert evals == 1
     assert alpha == 0.5
+    assert events == ["value"]
 
 
 def test_armijo_quadratic_matches_oracle_loop():
     s, r, alpha_prev = 1.2, 0.5, 4.0
     f = composite(half_sq(1))
-    alpha, y, fy, evals = armijo_search(f, vec(1.0), vec(1.0), alpha_prev, s, r, 0.5)
+    events = []
+    alpha, y, fy, evals = armijo_search(f, vec(1.0), vec(1.0), alpha_prev, s, r, 0.5,
+                                        events.append)
 
     # independent oracle: first i whose candidate passes the decrease test
     def oracle():
@@ -307,6 +314,7 @@ def test_armijo_quadratic_matches_oracle_loop():
     a_star, n_star = oracle()
     assert alpha == a_star == 0.6
     assert evals == n_star == 4
+    assert events == ["value"] * evals   # one f evaluation per trial, no prox
 
 
 def test_armijo_counts_prox_per_trial():
@@ -316,24 +324,32 @@ def test_armijo_counts_prox_per_trial():
     comp = composite(f, nonneg_indicator())
     alpha, y, fy, evals = armijo_search(comp, vec(0.5), vec(-0.5), 8.0, 1.2, 0.5,
                                         comp.f.value(np.array([0.5])), events.append)
-    assert events.count("prox") == evals
-    assert events.count("value") == evals
+    assert events == ["prox", "value"] * evals   # each trial: its prox, then its value
 
 
 def test_armijo_stalls_on_pathological_objective():
     f = SmoothFunction(1, lambda x: 1.0, lambda x: np.array([1.0]))
     comp = composite(f)
+    events = []
     with pytest.raises(LinesearchStalled):
-        armijo_search(comp, vec(0.0), vec(1.0), 1.0, 1.2, 0.9, -10.0)
+        armijo_search(comp, vec(0.0), vec(1.0), 1.0, 1.2, 0.9, -10.0, events.append)
+    assert events == ["value"] * (MAX_LINESEARCH_TRIALS + 1)
 
 
 # ---------------------------------------------------------------------------
 # initial stepsize
 # ---------------------------------------------------------------------------
 
+def searched_alpha0(inst):
+    """alpha_0 as a run finds it: the initial stepsize search of run_solver."""
+    tr = run_solver(inst, AdGD2(), RunConfig(max_iter=1))
+    assert tr.alpha0_searched
+    return tr.alpha0
+
+
 def test_alpha0_quadratic_returns_one():
     inst = make_counterexample(0.5)  # pure quadratic region, curvature 1
-    assert initial_stepsize_search(inst) == 1.0
+    assert searched_alpha0(inst) == 1.0
 
 
 def test_alpha0_linear_hits_cap():
@@ -345,13 +361,16 @@ def test_alpha0_linear_hits_cap():
         x0 = np.array([0.0, 0.0])
 
     inst = Inst()
-    assert initial_stepsize_search(inst.composite, inst.x0, cap=1.0) == 1.0
+    events = []
+    g0 = inst.composite.f.gradient(inst.x0)
+    assert _alpha0_search(inst.composite, inst.x0, g0, events.append) == ALPHA0_CAP
+    assert events == ["gradient"] * 9   # probes at alpha = 1, 10, ..., 1e8, all below the window
 
 
 def test_alpha0_quartic_lands_in_window():
     inst = make_quartic()
     comp = inst.composite
-    a0 = initial_stepsize_search(inst)
+    a0 = searched_alpha0(inst)
     g0 = comp.f.gradient(inst.x0)
     y = inst.x0 - a0 * g0
     L1 = curvature_estimate(y, inst.x0, comp.f.gradient(y), g0)
@@ -361,7 +380,7 @@ def test_alpha0_quartic_lands_in_window():
 def test_alpha0_prox_problem_lands_in_window():
     inst = make_dual_entropy(63, 15, 8)
     comp = inst.composite
-    a0 = initial_stepsize_search(inst)
+    a0 = searched_alpha0(inst)
     g0 = comp.f.gradient(inst.x0)
     y = comp.g.prox(a0, inst.x0 - a0 * g0)
     L1 = curvature_estimate(y, inst.x0, comp.f.gradient(y), g0)
@@ -371,7 +390,9 @@ def test_alpha0_prox_problem_lands_in_window():
 def test_alpha0_stationary_start_raises():
     comp = composite(half_sq(3))
     with pytest.raises(StationaryStart):
-        initial_stepsize_search(comp, np.zeros(3))
+        run_solver(instance(comp, np.zeros(3)), AdGD2(), RunConfig(max_iter=5))
+    with pytest.raises(StationaryStart):
+        _alpha0_search(comp, np.zeros(3), np.zeros(3), [].append)
 
 
 # ---------------------------------------------------------------------------
