@@ -105,12 +105,17 @@ def check_gradient_monotonicity(trace: Trace, tol: float = 1e-9) -> CertificateR
         return _not_applicable(name, "proximal run; see subgradient_monotonicity")
     _need_recorded(trace)
     g = trace.grads
-    viol, its = [], []
-    for k in range(1, g.shape[0]):
-        sq = float(g[k - 1] @ g[k - 1])
-        viol.append(float(g[k] @ g[k - 1]) - sq - tol * (1.0 + sq))
-        its.append(k)
-    return _report(name, viol, its, tol)
+    sq = np.vecdot(g[:-1], g[:-1])
+    viol = np.vecdot(g[1:], g[:-1]) - sq - tol * (1.0 + sq)
+    return _report(name, viol, np.arange(1, g.shape[0]), tol)
+
+
+def _subgradient_norms(trace: Trace, n: int, shift: int) -> np.ndarray:
+    """||grad^k + v^{k+shift}|| for k < n, summed in place in the fresh array
+    ``trace.subgrads`` returns, so no other iterate-sized array is made."""
+    v = trace.subgrads[shift:n + shift]
+    v += trace.grads[:n]
+    return np.sqrt(np.vecdot(v, v))
 
 
 def check_subgradient_monotonicity(trace: Trace, tol: float = 1e-9) -> CertificateReport:
@@ -119,15 +124,9 @@ def check_subgradient_monotonicity(trace: Trace, tol: float = 1e-9) -> Certifica
     if not trace.prox_run:
         return _not_applicable(name, "no prox-friendly part")
     _need_recorded(trace)
-    g, v = trace.grads, trace.subgrads
-    n = min(g.shape[0], v.shape[0]) - 1
-    viol, its = [], []
-    for k in range(n):
-        lhs = float(np.linalg.norm(g[k] + v[k + 1]))
-        rhs = float(np.linalg.norm(g[k] + v[k]))
-        viol.append(lhs - rhs - tol)
-        its.append(k)
-    return _report(name, viol, its, tol)
+    n = min(trace.grads.shape[0], trace.xs.shape[0]) - 1
+    viol = _subgradient_norms(trace, n, 1) - _subgradient_norms(trace, n, 0) - tol
+    return _report(name, viol, np.arange(n), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +143,17 @@ def check_stepsize_bounds(trace: Trace) -> List[CertificateReport]:
     if trace.rule.kind not in ("adgd1", "adgd2"):
         return [_not_applicable("stepsize_bounds", f"rule {trace.rule_name}")]
     a, th, L = trace.alphas, trace.thetas, trace.curvatures
-    grow_viol, curv_viol, its = [], [], []
     first_rule = trace.rule.kind == "adgd1"
     c0 = 1.0 if first_rule else 2.0 / 3.0
-    for k in range(1, trace.iters):
-        its.append(k)
-        grow_viol.append(a[k] - math.sqrt(c0 + th[k - 1]) * a[k - 1] * (1 + 1e-12))
-        if first_rule:
-            curv_viol.append(a[k] * L[k] - 1.0 / SQRT2 - 1e-10)
-        else:
-            t = a[k] * L[k]
-            curv_viol.append(t * t - (a[k] / a[k - 1]) ** 2 / 2.0 - 0.5 - 1e-10)
+    grow_viol = a[1:] - np.sqrt(c0 + th[:-1]) * a[:-1] * (1 + 1e-12)
+    t = a[1:] * L[1:]
+    curv_viol = (t - 1.0 / SQRT2 - 1e-10 if first_rule
+                 else t * t - (a[1:] / a[:-1]) ** 2 / 2.0 - 0.5 - 1e-10)
+    its = np.arange(1, trace.iters)
     return [
         _report("stepsize_growth_bound", grow_viol, its, 1e-12),
         _report("stepsize_curvature_bound", curv_viol, its, 1e-10),
     ]
-
-
-def _second_bound_binds(trace: Trace, k: int) -> bool:
-    # the curvature bound was the smaller of the two candidates at step k
-    a, th, L = trace.alphas, trace.thetas, trace.curvatures
-    first = math.sqrt(2.0 / 3.0 + th[k - 1]) * a[k - 1]
-    t = a[k - 1] * L[k]
-    bracket = 2.0 * t * t - 1.0
-    second = math.inf if bracket <= 0 else a[k - 1] / math.sqrt(bracket)
-    return second <= first
 
 
 def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[CertificateReport]:
@@ -187,33 +172,33 @@ def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[Cert
     a, th, L = trace.alphas, trace.thetas, trace.curvatures
     out = []
 
+    # per step k >= 1: the curvature bound was the smaller of the two candidates
+    # (an empty bracket makes it infinite)
+    t = a[:-1] * L[1:]
+    bracket = 2.0 * t * t - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = a[:-1] / np.sqrt(bracket)
+    second[bracket <= 0] = math.inf
+    binds = second <= np.sqrt(2.0 / 3.0 + th[:-1]) * a[:-1]
+
     # AM-GM pair bound whenever the curvature bound was the binding one
-    pair_viol, pair_its = [], []
-    for k in range(1, trace.iters):
-        if L[k] > 0 and _second_bound_binds(trace, k):
-            pair_viol.append(2.0 / L[k] * (1 - 1e-9) - (a[k - 1] + a[k]))
-            pair_viol.append(1.0 / (SQRT2 * L[k]) * (1 - 1e-9) - a[k])
-            pair_its.extend([k, k])
-    out.append(_report("am_gm_pair_bound", pair_viol, pair_its, 1e-9))
+    k = np.flatnonzero((L[1:] > 0) & binds) + 1
+    pair = np.stack([2.0 / L[k] * (1 - 1e-9) - (a[k - 1] + a[k]),
+                     1.0 / (SQRT2 * L[k]) * (1 - 1e-9) - a[k]], axis=1)
+    out.append(_report("am_gm_pair_bound", pair.ravel(), np.repeat(k, 2), 1e-9))
 
     # small-ratio branch facts: theta_k < 1/3 forces the curvature bound and
-    # large recent steps relative to 1/L_k
-    br_viol, br_its = [], []
-    for k in range(1, trace.iters):
-        if th[k] < 1.0 / 3.0 and L[k] > 0:
-            if not _second_bound_binds(trace, k):
-                br_viol.append(math.inf)
-                br_its.append(k)
-                continue
-            br_viol.append(SQRT5 * (1 - 1e-9) - a[k - 1] * L[k])
-            br_its.append(k)
-            if k >= 2:
-                br_viol.append(1.5 * (1 - 1e-9) - a[k - 2] * L[k])
-                br_its.append(k)
-            if k >= 3:
-                br_viol.append(1.0 * (1 - 1e-9) - a[k - 3] * L[k])
-                br_its.append(k)
-    out.append(_report("small_theta_branch", br_viol, br_its, 1e-9))
+    # large recent steps relative to 1/L_k.  One row of up to three facts per
+    # step (a single inf where the bound did not bind), read row by row
+    k = np.flatnonzero((th[1:] < 1.0 / 3.0) & (L[1:] > 0)) + 1
+    branch = np.stack([SQRT5 * (1 - 1e-9) - a[k - 1] * L[k],
+                       1.5 * (1 - 1e-9) - a[k - 2] * L[k],
+                       1.0 * (1 - 1e-9) - a[k - 3] * L[k]], axis=1)
+    bound = binds[k - 1]
+    branch[~bound, 0] = math.inf
+    present = np.stack([np.ones(k.size, bool), bound & (k >= 2), bound & (k >= 3)], axis=1)
+    out.append(_report("small_theta_branch", branch[present],
+                       np.broadcast_to(k[:, None], branch.shape)[present], 1e-9))
 
     # floor on every stepsize after the first
     if trace.iters > 1 and L_ref > 0:
@@ -237,12 +222,11 @@ def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[Cert
 
     # window sum around each interior breakpoint
     rec = detect_breakpoints(trace, L_ref)
-    win_viol, win_its = [], []
-    for m in rec.indices:
-        if m - 2 >= 0 and m + 2 <= trace.iters - 1:
-            win_viol.append(5.0 / L_ref * (1 - 1e-9) - float(np.sum(a[m - 2:m + 3])))
-            win_its.append(m)
-    out.append(_report("breakpoint_window_sum", win_viol, win_its, 1e-9,
+    m = np.array(rec.indices, dtype=np.int64)
+    m = m[(m >= 2) & (m <= trace.iters - 3)]
+    sums = a[m[:, None] + np.arange(-2, 3)].sum(axis=1)
+    win_viol = 5.0 / L_ref * (1 - 1e-9) - sums if m.size else sums   # breakpoints: L_ref > 0
+    out.append(_report("breakpoint_window_sum", win_viol, m, 1e-9,
                        f"{len(rec.indices)} breakpoint(s)"))
     return out
 
@@ -259,114 +243,65 @@ def detect_breakpoints(trace: Trace, L_ref: Optional[float] = None) -> Breakpoin
     a, th = trace.alphas, trace.thetas
     if L_ref <= 0 or trace.iters < 2:
         return BreakpointRecord([], L_ref)
-    is_bp = [False] * trace.iters
-    indices = []
-    for m in range(1, trace.iters):
-        if th[m] < 1.0 / 3.0 and a[m] < 1.0 / L_ref:
-            is_bp[m] = True
-            indices.append(m)
-    violations = []
-    for k in range(3, trace.iters):
-        if a[k] < 1.0 / (SQRT2 * L_ref):
-            if is_bp[k - 1] or (a[k - 1] < a[k] and is_bp[k - 2]):
-                continue
-            violations.append(k)
-    return BreakpointRecord(indices, L_ref, violations)
+    is_bp = (th < 1.0 / 3.0) & (a < 1.0 / L_ref)
+    is_bp[0] = False
+    # per k = 3 .. iters-1
+    near = is_bp[2:-1] | ((a[2:-1] < a[3:]) & is_bp[1:-2])
+    lonely = (a[3:] < 1.0 / (SQRT2 * L_ref)) & ~near
+    return BreakpointRecord(np.flatnonzero(is_bp).tolist(), L_ref,
+                            (np.flatnonzero(lonely) + 3).tolist())
 
 
 # ---------------------------------------------------------------------------
 # Energy and rate certificates
 # ---------------------------------------------------------------------------
 
-def check_energy_gd(trace: Trace, reference: ReferenceSolution) -> CertificateReport:
-    """Per-step decrease of the unconstrained energy
-
-        ||x^{k+1}-x*||^2 + ||x^{k+1}-x^k||^2 + a_k (2+3 th_k)(f(x^k)-f*)
-        <= ||x^k-x*||^2 + ||x^k-x^{k-1}||^2 + 3 a_k th_k (f(x^{k-1})-f*).
-    """
-    name = "energy_decrease_gd"
-    if trace.rule.kind != "adgd2" or trace.prox_run:
-        return _not_applicable(name, f"rule {trace.rule_name}, prox={trace.prox_run}")
-    _need_reference(reference)
-    _need_recorded(trace)
-    xs, F, a, th = trace.xs, trace.F_values, trace.alphas, trace.thetas
-    xr, Fr = reference.x_star, reference.F_star
-    dist2 = np.sum((xs - xr[None, :]) ** 2, axis=1)
-    lhs, rhs, its = [], [], []
-    for k in range(1, trace.iters):
-        lhs.append(dist2[k + 1] + trace.step_norms[k] ** 2
-                   + a[k] * (2 + 3 * th[k]) * (F[k] - Fr))
-        rhs.append(dist2[k] + trace.step_norms[k - 1] ** 2
-                   + 3 * a[k] * th[k] * (F[k - 1] - Fr))
-        its.append(k)
-    if not lhs:
-        return _report(name, [], [], 0.0)
-    tol = 1e-7 * (1.0 + abs(rhs[0])) + 2.0 * reference.tolerance
-    viol = [l - r - tol for l, r in zip(lhs, rhs)]
-    return _report(name, viol, its, tol)
-
-
-def check_energy_prox(trace: Trace, reference: ReferenceSolution) -> CertificateReport:
-    """Proximal energy decrease with the recovered subgradients:
+def check_energy(trace: Trace, reference: ReferenceSolution) -> CertificateReport:
+    """Per-step energy decrease with the recovered subgradients:
 
         ||x^{k+1}-x*||^2 + a_k^2 ||S^k||^2 + a_k (2+3 th_k)(F(x^k)-F*)
         <= ||x^k-x*||^2 + a_{k-1}^2 ||S^{k-1}||^2 + 3 a_k th_k (F(x^{k-1})-F*),
 
-    where S^k = grad f(x^k) + v^k and v^0 = 0.
+    where S^k = grad f(x^k) + v^k and v^0 = 0.  Without a prox-friendly part
+    v = 0, so a_k^2 ||S^k||^2 = ||x^{k+1}-x^k||^2: the unconstrained energy.
     """
-    name = "energy_decrease_prox"
+    name = "energy_decrease_prox" if trace.prox_run else "energy_decrease_gd"
     if trace.rule.kind != "adgd2":
-        return _not_applicable(name, f"rule {trace.rule_name}")
+        return _not_applicable(name, f"rule {trace.rule_name}"
+                               + ("" if trace.prox_run else ", prox=False"))
     _need_reference(reference)
     _need_recorded(trace)
-    xs, F, a, th = trace.xs, trace.F_values, trace.alphas, trace.thetas
-    S = trace.subgrads[: trace.grads.shape[0]]
-    S += trace.grads
-    S2 = np.sum(S * S, axis=1)
-    xr, Fr = reference.x_star, reference.F_star
-    dist2 = np.sum((xs - xr[None, :]) ** 2, axis=1)
-    lhs, rhs, its = [], [], []
-    for k in range(1, trace.iters):
-        lhs.append(dist2[k + 1] + a[k] ** 2 * S2[k]
-                   + a[k] * (2 + 3 * th[k]) * (F[k] - Fr))
-        rhs.append(dist2[k] + a[k - 1] ** 2 * S2[k - 1]
-                   + 3 * a[k] * th[k] * (F[k - 1] - Fr))
-        its.append(k)
-    if not lhs:
+    K = trace.iters
+    if K < 2:
         return _report(name, [], [], 0.0)
+    F, a, th, Fr = trace.F_values, trace.alphas, trace.thetas, reference.F_star
+    S = trace.subgrads               # v^k, then S^k and x^k - x* in place
+    S[:trace.grads.shape[0]] += trace.grads
+    S2 = np.sum(np.square(S, out=S), axis=1)
+    dist2 = np.sum(np.square(np.subtract(trace.xs, reference.x_star, out=S), out=S), axis=1)
+    lhs = dist2[2:K + 1] + a[1:] ** 2 * S2[1:K] + a[1:] * (2 + 3 * th[1:]) * (F[1:K] - Fr)
+    rhs = dist2[1:K] + a[:-1] ** 2 * S2[:K - 1] + 3 * a[1:] * th[1:] * (F[:K - 1] - Fr)
     tol = 1e-7 * (1.0 + abs(rhs[0])) + 2.0 * reference.tolerance
-    viol = [l - r - tol for l, r in zip(lhs, rhs)]
-    return _report(name, viol, its, tol)
-
-
-def anchored_radius_sq(trace: Trace, reference: ReferenceSolution) -> float:
-    """R^2 = ||x^0-x*||^2 + 2 a_0^2 ||S^0||^2 + a_0 (F(x^0)-F*), where S^0 is
-    grad f(x^0), as v^0 = 0."""
-    _need_recorded(trace)
-    S0 = trace.grads[0]
-    return (float(np.sum((trace.xs[0] - reference.x_star) ** 2))
-            + 2.0 * trace.alphas[0] ** 2 * float(S0 @ S0)
-            + trace.alphas[0] * (trace.F_values[0] - reference.F_star))
+    return _report(name, lhs - rhs - tol, np.arange(1, K), tol)
 
 
 def check_rate(trace: Trace, reference: ReferenceSolution,
                rel_tol: float = 1e-6) -> CertificateReport:
-    """Running-min bound  min_{i<=k}(F(x^i)-F*) <= R^2 / (2 sum_{i=1}^k a_i)."""
+    """Running-min bound  min_{i<=k}(F(x^i)-F*) <= R^2 / (2 sum_{i=1}^k a_i),
+    with R^2 = ||x^0-x*||^2 + 2 a_0^2 ||S^0||^2 + a_0 (F(x^0)-F*), where S^0 is
+    grad f(x^0), as v^0 = 0."""
     name = "rate_bound"
     if trace.rule.kind != "adgd2":
         return _not_applicable(name, f"rule {trace.rule_name}")
     _need_reference(reference)
     _need_recorded(trace)
-    R2 = anchored_radius_sq(trace, reference)
-    F, a = trace.F_values, trace.alphas
-    gaps = F[1:] - reference.F_star
-    viol, its = [], []
-    for k in range(1, trace.iters):
-        run_min = float(np.min(gaps[:k]))
-        bound = R2 / (2.0 * float(np.sum(a[1:k + 1])))
-        viol.append(run_min - bound * (1 + rel_tol) - 2.0 * reference.tolerance)
-        its.append(k)
-    return _report(name, viol, its, rel_tol,
+    F, a, S0 = trace.F_values, trace.alphas, trace.grads[0]
+    R2 = (float(np.sum((trace.xs[0] - reference.x_star) ** 2))
+          + 2.0 * a[0] ** 2 * float(S0 @ S0) + a[0] * (F[0] - reference.F_star))
+    run_min = np.minimum.accumulate(F[1:trace.iters] - reference.F_star)
+    bound = R2 / (2.0 * np.cumsum(a[1:]))
+    viol = run_min - bound * (1 + rel_tol) - 2.0 * reference.tolerance
+    return _report(name, viol, np.arange(1, trace.iters), rel_tol,
                    f"R^2={R2:.3e}")
 
 
@@ -478,10 +413,7 @@ def run_certificates(problem, trace: Trace,
     if problem.convex:
         reports.append(check_gradient_monotonicity(trace))
         if reference is not None:
-            if trace.prox_run:
-                reports.append(check_energy_prox(trace, reference))
-            else:
-                reports.append(check_energy_gd(trace, reference))
+            reports.append(check_energy(trace, reference))
             reports.append(check_rate(trace, reference))
     else:
         reports.append(_not_applicable("gradient_monotonicity", "nonconvex objective"))

@@ -273,13 +273,18 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 
 def read_trace_csv(path) -> dict:
+    """The columns of a cell CSV by name; ValueError unless the file has the
+    cell header and one number per column in every row."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    if header != CSV_HEADER.split(","):
+    if text[:1] != [CSV_HEADER]:
         raise ValueError(f"unexpected CSV header in {path}")
+    header = CSV_HEADER.split(",")
     cols = {name: [] for name in header}
-    for line in text[1:]:
-        for name, cell in zip(header, line.split(",")):
+    for i, line in enumerate(text[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {i} of {path} has {len(cells)} cells, not {len(header)}")
+        for name, cell in zip(header, cells):
             cols[name].append(float(cell))
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
@@ -434,19 +439,24 @@ def ops_to_accuracy(trace: Trace, kind: str, threshold: float) -> float:
 # ---------------------------------------------------------------------------
 
 def plot_run_dir(run_dir) -> List[Path]:
-    """Objective-gap vs essential-operations SVG per problem (read-only)."""
+    """Objective-gap vs essential-operations SVG per problem (read-only).  Every
+    cell CSV, problem and reference is read before the first SVG is written; a
+    malformed CSV is a ConfigError that names it."""
     run_dir = Path(run_dir)
     meta = read_meta(run_dir)
     by_problem: dict = {}
     for cell in meta["cells"]:
         by_problem.setdefault(cell["problem"]["kind"], []).append(cell)
-    outputs = []
+    plots = []
     for kind, cells in by_problem.items():
         curves = []
         best = math.inf
         loaded = []
         for cell in cells:
-            cols = read_trace_csv(run_dir / cell["csv"])
+            try:
+                cols = read_trace_csv(run_dir / cell["csv"])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read cell CSV {cell['csv']!r}: {exc}") from None
             loaded.append((cell, cols))
             if cols["F"].size:
                 best = min(best, float(np.min(cols["F"])))
@@ -457,6 +467,9 @@ def plot_run_dir(run_dir) -> List[Path]:
             ops = row_essential_units(kind, cell["rule"]["kind"], cols)
             gaps = cols["F"] - anchor
             curves.append((_rule_label(cell["rule"]), ops, gaps))
+        plots.append((kind, curves))
+    outputs = []
+    for kind, curves in plots:
         path = run_dir / f"{kind}_gap_vs_ops.svg"
         gap_plot_svg(f"{kind}: objective gap vs {essential_metric_name(kind)}",
                      curves, path, x_label=essential_metric_name(kind),

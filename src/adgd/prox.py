@@ -13,6 +13,9 @@ import numpy as np
 
 from .core import NumericalError, ProxFriendly
 
+# how far below zero an orthant coordinate may sit and still count as feasible
+FEAS_TOL = 1e-9
+
 
 def project_nonneg(z: np.ndarray) -> np.ndarray:
     """Componentwise projection onto the nonnegative orthant."""
@@ -107,11 +110,11 @@ def project_nuclear_ball(Z: np.ndarray, r: float) -> np.ndarray:
 # ProxFriendly factories (flattened-point interface used by the solvers)
 # ---------------------------------------------------------------------------
 
-def nonneg_indicator(feas_tol: float = 1e-9) -> ProxFriendly:
+def nonneg_indicator() -> ProxFriendly:
     """Indicator of the nonnegative orthant."""
 
     def value(x):
-        return 0.0 if np.min(x, initial=0.0) >= -feas_tol else np.inf
+        return 0.0 if np.min(x, initial=0.0) >= -FEAS_TOL else np.inf
 
     return ProxFriendly(
         value=value,
@@ -195,11 +198,11 @@ def nuclear_ball_indicator(shape: tuple, r: float) -> ProxFriendly:
                         cost={"svd_count": 1, "projection_count": 1})
 
 
-def dual_entropy_domain(m: int, feas_tol: float = 1e-9) -> ProxFriendly:
+def dual_entropy_domain(m: int) -> ProxFriendly:
     """Indicator of {(lam, mu) : lam >= 0}; mu (the last coordinate) is free."""
 
     def value(x):
-        return 0.0 if np.min(x[:m], initial=0.0) >= -feas_tol else np.inf
+        return 0.0 if np.min(x[:m], initial=0.0) >= -FEAS_TOL else np.inf
 
     return ProxFriendly(
         value=value,

@@ -1,8 +1,11 @@
 """Independent brute-force oracles shared by unit and acceptance tests."""
 
+import math
+
 import numpy as np
 
 from adgd.core import NumericalError, SmoothFunction
+from adgd.diagnostics import BreakpointRecord, CertificateReport
 
 
 def finite_difference_gradient(f: SmoothFunction, x, h=None) -> np.ndarray:
@@ -106,3 +109,300 @@ def l1_project_scan(v, r):
 def nuclear_project_scan(Z, r):
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
     return (U * l1_project_scan(s, r)) @ Vt
+
+
+# ---------------------------------------------------------------------------
+# Per-step certificate forms: the reference the array forms in
+# adgd.diagnostics are compared against, one Python step at a time
+# ---------------------------------------------------------------------------
+
+SQRT2 = math.sqrt(2.0)
+SQRT3 = math.sqrt(3.0)
+SQRT5 = math.sqrt(5.0)
+
+
+def _report(name, viol, iters, tol, note="") -> CertificateReport:
+    viol = np.asarray(viol, dtype=np.float64)
+    if viol.size == 0:
+        return CertificateReport(name, True, -math.inf, -1, tol, 0,
+                                 note or "vacuous: nothing to check")
+    worst = int(np.argmax(viol))
+    return CertificateReport(name, bool(viol[worst] <= 0.0), float(viol[worst]),
+                             int(iters[worst]), tol, int(viol.size), note)
+
+
+def _not_applicable(name, why) -> CertificateReport:
+    return CertificateReport(name, True, -math.inf, -1, 0.0, 0, f"not applicable: {why}")
+
+
+def _need_recorded(trace):
+    if trace.xs is None or trace.grads is None:
+        raise ValueError("trace was not recorded with iterates; rerun with record_trace=True")
+
+
+def _need_reference(reference):
+    if reference is None:
+        raise ValueError("reference required")
+
+
+def loop_gradient_monotonicity(trace, tol: float = 1e-9) -> CertificateReport:
+    """<grad^k, grad^{k-1}> <= ||grad^{k-1}||^2 (+ tol scaling) at GD iterates."""
+    name = "gradient_monotonicity"
+    if trace.prox_run:
+        return _not_applicable(name, "proximal run; see subgradient_monotonicity")
+    _need_recorded(trace)
+    g = trace.grads
+    viol, its = [], []
+    for k in range(1, g.shape[0]):
+        sq = float(g[k - 1] @ g[k - 1])
+        viol.append(float(g[k] @ g[k - 1]) - sq - tol * (1.0 + sq))
+        its.append(k)
+    return _report(name, viol, its, tol)
+
+
+def loop_subgradient_monotonicity(trace, tol: float = 1e-9) -> CertificateReport:
+    """||grad^k + v^{k+1}|| <= ||grad^k + v^k|| (+ tol) at proximal iterates."""
+    name = "subgradient_monotonicity"
+    if not trace.prox_run:
+        return _not_applicable(name, "no prox-friendly part")
+    _need_recorded(trace)
+    g, v = trace.grads, trace.subgrads
+    n = min(g.shape[0], v.shape[0]) - 1
+    viol, its = [], []
+    for k in range(n):
+        lhs = float(np.linalg.norm(g[k] + v[k + 1]))
+        rhs = float(np.linalg.norm(g[k] + v[k]))
+        viol.append(lhs - rhs - tol)
+        its.append(k)
+    return _report(name, viol, its, tol)
+
+
+def loop_stepsize_bounds(trace) -> list:
+    """Both per-step bounds the adaptive rules promise.
+
+    Growth bound: alpha_k <= sqrt(c0 + theta_{k-1}) alpha_{k-1}; curvature
+    bound: alpha_k L_k <= 1/sqrt(2) (first rule) or
+    alpha_k^2 L_k^2 - alpha_k^2 / (2 alpha_{k-1}^2) <= 1/2 (second rule).
+    """
+    if trace.rule.kind not in ("adgd1", "adgd2"):
+        return [_not_applicable("stepsize_bounds", f"rule {trace.rule_name}")]
+    a, th, L = trace.alphas, trace.thetas, trace.curvatures
+    grow_viol, curv_viol, its = [], [], []
+    first_rule = trace.rule.kind == "adgd1"
+    c0 = 1.0 if first_rule else 2.0 / 3.0
+    for k in range(1, trace.iters):
+        its.append(k)
+        grow_viol.append(a[k] - math.sqrt(c0 + th[k - 1]) * a[k - 1] * (1 + 1e-12))
+        if first_rule:
+            curv_viol.append(a[k] * L[k] - 1.0 / SQRT2 - 1e-10)
+        else:
+            t = a[k] * L[k]
+            curv_viol.append(t * t - (a[k] / a[k - 1]) ** 2 / 2.0 - 0.5 - 1e-10)
+    return [
+        _report("stepsize_growth_bound", grow_viol, its, 1e-12),
+        _report("stepsize_curvature_bound", curv_viol, its, 1e-10),
+    ]
+
+
+def _loop_second_bound_binds(trace, k: int) -> bool:
+    # the curvature bound was the smaller of the two candidates at step k
+    a, th, L = trace.alphas, trace.thetas, trace.curvatures
+    first = math.sqrt(2.0 / 3.0 + th[k - 1]) * a[k - 1]
+    t = a[k - 1] * L[k]
+    bracket = 2.0 * t * t - 1.0
+    second = math.inf if bracket <= 0 else a[k - 1] / math.sqrt(bracket)
+    return second <= first
+
+
+def loop_stepsize_sum(trace, L_ref=None) -> list:
+    """Stepsize floor, cumulative-sum bound, and their supporting branch facts.
+
+    ``L_ref`` defaults to the largest curvature estimate along the run, a
+    lower bound for the trajectory-ball smoothness constant; the floor
+    1/(sqrt(3) L_ref) and the sum bound k/(sqrt(2) L_ref) are therefore
+    stronger claims than the ball-constant versions, and a failure here calls
+    for a curvature sweep before being treated as real.
+    """
+    if trace.rule.kind != "adgd2":
+        return [_not_applicable("stepsize_sum", f"rule {trace.rule_name}")]
+    if L_ref is None:
+        L_ref = trace.max_curvature
+    a, th, L = trace.alphas, trace.thetas, trace.curvatures
+    out = []
+
+    # AM-GM pair bound whenever the curvature bound was the binding one
+    pair_viol, pair_its = [], []
+    for k in range(1, trace.iters):
+        if L[k] > 0 and _loop_second_bound_binds(trace, k):
+            pair_viol.append(2.0 / L[k] * (1 - 1e-9) - (a[k - 1] + a[k]))
+            pair_viol.append(1.0 / (SQRT2 * L[k]) * (1 - 1e-9) - a[k])
+            pair_its.extend([k, k])
+    out.append(_report("am_gm_pair_bound", pair_viol, pair_its, 1e-9))
+
+    # small-ratio branch facts: theta_k < 1/3 forces the curvature bound and
+    # large recent steps relative to 1/L_k
+    br_viol, br_its = [], []
+    for k in range(1, trace.iters):
+        if th[k] < 1.0 / 3.0 and L[k] > 0:
+            if not _loop_second_bound_binds(trace, k):
+                br_viol.append(math.inf)
+                br_its.append(k)
+                continue
+            br_viol.append(SQRT5 * (1 - 1e-9) - a[k - 1] * L[k])
+            br_its.append(k)
+            if k >= 2:
+                br_viol.append(1.5 * (1 - 1e-9) - a[k - 2] * L[k])
+                br_its.append(k)
+            if k >= 3:
+                br_viol.append(1.0 * (1 - 1e-9) - a[k - 3] * L[k])
+                br_its.append(k)
+    out.append(_report("small_theta_branch", br_viol, br_its, 1e-9))
+
+    # floor on every stepsize after the first
+    if trace.iters > 1 and L_ref > 0:
+        floor = (1.0 / (SQRT3 * L_ref) if trace.alpha0_searched
+                 else min(trace.alpha0, 1.0 / (SQRT3 * L_ref)))
+        kmin = 1 + int(np.argmin(a[1:]))
+        viol = floor - 1e-12 - float(np.min(a[1:]))
+        note = "searched alpha0" if trace.alpha0_searched else "floor includes alpha0"
+        out.append(_report("stepsize_floor", [viol], [kmin], 1e-12, note))
+    else:
+        out.append(_not_applicable("stepsize_floor", "fewer than two steps"))
+
+    # cumulative sum bound (needs the searched starting stepsize)
+    if trace.alpha0_searched and trace.iters > 1 and L_ref > 0:
+        sums = np.cumsum(a[1:])
+        ks = np.arange(1, trace.iters)
+        viol = ks / (SQRT2 * L_ref) * (1 - 1e-10) - sums
+        out.append(_report("stepsize_sum", viol, ks, 1e-10))
+    else:
+        out.append(_not_applicable("stepsize_sum", "alpha0 not searched"))
+
+    # window sum around each interior breakpoint
+    rec = loop_detect_breakpoints(trace, L_ref)
+    win_viol, win_its = [], []
+    for m in rec.indices:
+        if m - 2 >= 0 and m + 2 <= trace.iters - 1:
+            win_viol.append(5.0 / L_ref * (1 - 1e-9) - float(np.sum(a[m - 2:m + 3])))
+            win_its.append(m)
+    out.append(_report("breakpoint_window_sum", win_viol, win_its, 1e-9,
+                       f"{len(rec.indices)} breakpoint(s)"))
+    return out
+
+
+def loop_detect_breakpoints(trace, L_ref=None) -> BreakpointRecord:
+    """Indices m with theta_m < 1/3 and alpha_m < 1/L_ref.
+
+    Also verifies that any unusually small step (alpha_k < 1/(sqrt(2) L_ref))
+    sits within two iterations of a breakpoint: either alpha_{k-1} is one, or
+    alpha_{k-1} < alpha_k and alpha_{k-2} is one.
+    """
+    if L_ref is None:
+        L_ref = trace.max_curvature
+    a, th = trace.alphas, trace.thetas
+    if L_ref <= 0 or trace.iters < 2:
+        return BreakpointRecord([], L_ref)
+    is_bp = [False] * trace.iters
+    indices = []
+    for m in range(1, trace.iters):
+        if th[m] < 1.0 / 3.0 and a[m] < 1.0 / L_ref:
+            is_bp[m] = True
+            indices.append(m)
+    violations = []
+    for k in range(3, trace.iters):
+        if a[k] < 1.0 / (SQRT2 * L_ref):
+            if is_bp[k - 1] or (a[k - 1] < a[k] and is_bp[k - 2]):
+                continue
+            violations.append(k)
+    return BreakpointRecord(indices, L_ref, violations)
+
+
+def loop_energy_gd(trace, reference) -> CertificateReport:
+    """Per-step decrease of the unconstrained energy
+
+        ||x^{k+1}-x*||^2 + ||x^{k+1}-x^k||^2 + a_k (2+3 th_k)(f(x^k)-f*)
+        <= ||x^k-x*||^2 + ||x^k-x^{k-1}||^2 + 3 a_k th_k (f(x^{k-1})-f*).
+    """
+    name = "energy_decrease_gd"
+    if trace.rule.kind != "adgd2" or trace.prox_run:
+        return _not_applicable(name, f"rule {trace.rule_name}, prox={trace.prox_run}")
+    _need_reference(reference)
+    _need_recorded(trace)
+    xs, F, a, th = trace.xs, trace.F_values, trace.alphas, trace.thetas
+    xr, Fr = reference.x_star, reference.F_star
+    dist2 = np.sum((xs - xr[None, :]) ** 2, axis=1)
+    lhs, rhs, its = [], [], []
+    for k in range(1, trace.iters):
+        lhs.append(dist2[k + 1] + trace.step_norms[k] ** 2
+                   + a[k] * (2 + 3 * th[k]) * (F[k] - Fr))
+        rhs.append(dist2[k] + trace.step_norms[k - 1] ** 2
+                   + 3 * a[k] * th[k] * (F[k - 1] - Fr))
+        its.append(k)
+    if not lhs:
+        return _report(name, [], [], 0.0)
+    tol = 1e-7 * (1.0 + abs(rhs[0])) + 2.0 * reference.tolerance
+    viol = [l - r - tol for l, r in zip(lhs, rhs)]
+    return _report(name, viol, its, tol)
+
+
+def loop_energy_prox(trace, reference) -> CertificateReport:
+    """Proximal energy decrease with the recovered subgradients:
+
+        ||x^{k+1}-x*||^2 + a_k^2 ||S^k||^2 + a_k (2+3 th_k)(F(x^k)-F*)
+        <= ||x^k-x*||^2 + a_{k-1}^2 ||S^{k-1}||^2 + 3 a_k th_k (F(x^{k-1})-F*),
+
+    where S^k = grad f(x^k) + v^k and v^0 = 0.
+    """
+    name = "energy_decrease_prox"
+    if trace.rule.kind != "adgd2":
+        return _not_applicable(name, f"rule {trace.rule_name}")
+    _need_reference(reference)
+    _need_recorded(trace)
+    xs, F, a, th = trace.xs, trace.F_values, trace.alphas, trace.thetas
+    S = trace.subgrads[: trace.grads.shape[0]]
+    S += trace.grads
+    S2 = np.sum(S * S, axis=1)
+    xr, Fr = reference.x_star, reference.F_star
+    dist2 = np.sum((xs - xr[None, :]) ** 2, axis=1)
+    lhs, rhs, its = [], [], []
+    for k in range(1, trace.iters):
+        lhs.append(dist2[k + 1] + a[k] ** 2 * S2[k]
+                   + a[k] * (2 + 3 * th[k]) * (F[k] - Fr))
+        rhs.append(dist2[k] + a[k - 1] ** 2 * S2[k - 1]
+                   + 3 * a[k] * th[k] * (F[k - 1] - Fr))
+        its.append(k)
+    if not lhs:
+        return _report(name, [], [], 0.0)
+    tol = 1e-7 * (1.0 + abs(rhs[0])) + 2.0 * reference.tolerance
+    viol = [l - r - tol for l, r in zip(lhs, rhs)]
+    return _report(name, viol, its, tol)
+
+
+def loop_anchored_radius_sq(trace, reference) -> float:
+    """R^2 = ||x^0-x*||^2 + 2 a_0^2 ||S^0||^2 + a_0 (F(x^0)-F*), where S^0 is
+    grad f(x^0), as v^0 = 0."""
+    _need_recorded(trace)
+    S0 = trace.grads[0]
+    return (float(np.sum((trace.xs[0] - reference.x_star) ** 2))
+            + 2.0 * trace.alphas[0] ** 2 * float(S0 @ S0)
+            + trace.alphas[0] * (trace.F_values[0] - reference.F_star))
+
+
+def loop_rate(trace, reference, rel_tol: float = 1e-6) -> CertificateReport:
+    """Running-min bound  min_{i<=k}(F(x^i)-F*) <= R^2 / (2 sum_{i=1}^k a_i)."""
+    name = "rate_bound"
+    if trace.rule.kind != "adgd2":
+        return _not_applicable(name, f"rule {trace.rule_name}")
+    _need_reference(reference)
+    _need_recorded(trace)
+    R2 = loop_anchored_radius_sq(trace, reference)
+    F, a = trace.F_values, trace.alphas
+    gaps = F[1:] - reference.F_star
+    viol, its = [], []
+    for k in range(1, trace.iters):
+        run_min = float(np.min(gaps[:k]))
+        bound = R2 / (2.0 * float(np.sum(a[1:k + 1])))
+        viol.append(run_min - bound * (1 + rel_tol) - 2.0 * reference.tolerance)
+        its.append(k)
+    return _report(name, viol, its, rel_tol,
+                   f"R^2={R2:.3e}")

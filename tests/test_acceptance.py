@@ -14,8 +14,7 @@ import pytest
 from adgd.core import process_map
 from adgd.diagnostics import (
     check_divergence_pattern,
-    check_energy_gd,
-    check_energy_prox,
+    check_energy,
     check_gradient_monotonicity,
     check_rate,
     check_stepsize_bounds,
@@ -135,10 +134,9 @@ def test_criterion_4_certificate_suite(request):
         if inst.convex:
             if tr.prox_run:
                 reports.append(check_subgradient_monotonicity(tr))
-                reports.append(check_energy_prox(tr, ref))
             else:
                 reports.append(check_gradient_monotonicity(tr))
-                reports.append(check_energy_gd(tr, ref))
+            reports.append(check_energy(tr, ref))
             reports.append(check_rate(tr, ref))
         else:
             # nonconvex factorization: only the unconditional facts apply

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 from adgd.core import ReferenceSolution, SmoothFunction, composite, evaluate_composite
 from adgd.diagnostics import (
     check_divergence_pattern,
-    check_energy_gd,
-    check_energy_prox,
+    check_energy,
     check_feasibility,
     check_gradient_monotonicity,
     check_rate,
@@ -19,9 +19,20 @@ from adgd.diagnostics import (
     run_certificates,
     trajectory_curvature_sweep,
 )
-from adgd.problems import make_counterexample, make_problem, make_quadratic
+from adgd.problems import EXPERIMENT_KINDS, make_counterexample, make_problem, make_quadratic
 from adgd.prox import nonneg_indicator
-from adgd.solvers import AdGD2, BadGD, FixedStep, RunConfig, Trace, run_solver
+from adgd.solvers import AdGD1, AdGD2, Armijo, BadGD, FixedStep, RunConfig, Trace, run_solver
+
+from oracles import (
+    loop_detect_breakpoints,
+    loop_energy_gd,
+    loop_energy_prox,
+    loop_gradient_monotonicity,
+    loop_rate,
+    loop_stepsize_bounds,
+    loop_stepsize_sum,
+    loop_subgradient_monotonicity,
+)
 
 
 def quad_reference(inst):
@@ -72,7 +83,8 @@ def orthant_run():
 
 def test_energy_gd_passes_on_quadratic(quad_run):
     _, tr, ref = quad_run
-    rep = check_energy_gd(tr, ref)
+    rep = check_energy(tr, ref)
+    assert rep.name == "energy_decrease_gd"
     assert rep.passed and rep.n_checked == tr.iters - 1
 
 
@@ -90,7 +102,7 @@ def test_energy_gd_flags_corrupted_stepsize(quad_run):
     bad = copy.deepcopy(tr)
     bad.alphas = bad.alphas.copy()
     bad.alphas[k_star] *= 20.0
-    rep = check_energy_gd(bad, ref)
+    rep = check_energy(bad, ref)
     assert not rep.passed
     assert rep.worst_iteration == k_star
 
@@ -98,7 +110,7 @@ def test_energy_gd_flags_corrupted_stepsize(quad_run):
 def test_energy_gd_requires_reference(quad_run):
     _, tr, _ = quad_run
     with pytest.raises(ValueError, match="reference required"):
-        check_energy_gd(tr, None)
+        check_energy(tr, None)
 
 
 def test_energy_stationary_trace_is_flat():
@@ -112,24 +124,26 @@ def test_energy_stationary_trace_is_flat():
                counter_rows=np.zeros((3, 7), dtype=np.int64),
                F_initial=0.0, x_final=xs[-1], xs=xs, grads=np.zeros((4, d)))
     ref = ReferenceSolution(np.zeros(d), 0.0, 0.0, "exact")
-    rep = check_energy_gd(tr, ref)
+    rep = check_energy(tr, ref)
     assert rep.passed
     assert abs(rep.worst_violation + rep.tolerance) <= 1e-15
 
 
 def test_energy_prox_passes_on_orthant_quadratic(orthant_run):
     _, tr, ref = orthant_run
-    rep = check_energy_prox(tr, ref)
+    rep = check_energy(tr, ref)
+    assert rep.name == "energy_decrease_prox"
     assert rep.passed and rep.n_checked == tr.iters - 1
 
 
 def test_energy_prox_reduces_to_gd_without_g(quad_run):
     _, tr, ref = quad_run
-    gd = check_energy_gd(tr, ref)
-    prox = check_energy_prox(tr, ref)
-    # with v = 0 the two inequalities coincide term by term
-    assert abs(gd.worst_violation - prox.worst_violation) <= 1e-9 * (1 + abs(gd.worst_violation))
-    assert gd.worst_iteration == prox.worst_iteration
+    gd = loop_energy_gd(tr, ref)
+    energy = check_energy(tr, ref)
+    # with v = 0, a_k^2 ||S^k||^2 = ||x^{k+1}-x^k||^2: the step-norm form term by term
+    assert abs(gd.worst_violation - energy.worst_violation) <= 1e-9 * (1 + abs(gd.worst_violation))
+    assert gd.worst_iteration == energy.worst_iteration
+    assert (gd.name, gd.n_checked) == (energy.name, energy.n_checked)
 
 
 def test_corrupted_subgradient_is_flagged(orthant_run):
@@ -305,6 +319,66 @@ def test_divergence_pattern_control_converges():
 
 
 # ---------------------------------------------------------------------------
+# array forms against the per-step forms
+# ---------------------------------------------------------------------------
+
+def _comparison_runs():
+    """(name, instance, rule, max_iter): the five experiment kinds at desk scale
+    under the adaptive rule and one linesearch, plus GD runs with breakpoints."""
+    runs = [(f"{kind}-{seed}-{name}", make_problem(kind, seed), rule, 300)
+            for kind in EXPERIMENT_KINDS for seed in (1, 2)
+            for name, rule in (("adaptive", AdGD2()), ("armijo", Armijo(1.2, 0.5)))]
+    quad = make_quadratic(75, 30, 100.0)
+    runs += [("quadratic-adgd1", quad, AdGD1(), 500), ("quadratic-adgd2", quad, AdGD2(), 500),
+             ("counterexample-adgd2", make_counterexample(12.0), AdGD2(), 3000)]
+    return runs
+
+
+@pytest.fixture(scope="module")
+def comparison_traces():
+    traces = {name: run_solver(inst, rule, RunConfig(max_iter=max_iter, grad_tol=1e-12))
+              for name, inst, rule, max_iter in _comparison_runs()}
+    bad_alpha = copy.deepcopy(traces["quadratic-adgd2"])
+    bad_alpha.alphas[40] *= 20.0
+    bad_x = copy.deepcopy(traces["mle-1-adaptive"])
+    bad_x.xs[40] += 1.0
+    traces.update({"quadratic-adgd2-bad-alpha": bad_alpha, "mle-1-adaptive-bad-x": bad_x})
+    return traces
+
+
+def _loop_energy(tr, ref):
+    # the prox form is check_energy's inequality; a GD run keeps the GD name
+    if tr.prox_run or tr.rule.kind != "adgd2":
+        return (loop_energy_prox if tr.prox_run else loop_energy_gd)(tr, ref)
+    return dataclasses.replace(loop_energy_prox(tr, ref), name="energy_decrease_gd")
+
+
+def _same_report(new, old):
+    assert (new.name, new.passed, new.worst_iteration, new.n_checked, new.note) == \
+        (old.name, old.passed, old.worst_iteration, old.n_checked, old.note)
+    for got, want in ((new.worst_violation, old.worst_violation), (new.tolerance, old.tolerance)):
+        assert got == want or abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("name", [run[0] for run in _comparison_runs()]
+                         + ["quadratic-adgd2-bad-alpha", "mle-1-adaptive-bad-x"])
+def test_array_certificates_match_the_per_step_forms(comparison_traces, name):
+    tr = comparison_traces[name]
+    anchor = ReferenceSolution(tr.x_final, tr.F_final, 1e-12, "last iterate")
+    pairs = [
+        (check_gradient_monotonicity(tr), loop_gradient_monotonicity(tr)),
+        (check_subgradient_monotonicity(tr), loop_subgradient_monotonicity(tr)),
+        *zip(check_stepsize_bounds(tr), loop_stepsize_bounds(tr), strict=True),
+        *zip(check_stepsize_sum(tr), loop_stepsize_sum(tr), strict=True),
+        (check_energy(tr, anchor), _loop_energy(tr, anchor)),
+        (check_rate(tr, anchor), loop_rate(tr, anchor)),
+    ]
+    for new, old in pairs:
+        _same_report(new, old)
+    assert detect_breakpoints(tr) == loop_detect_breakpoints(tr)
+
+
+# ---------------------------------------------------------------------------
 # feasibility
 # ---------------------------------------------------------------------------
 
@@ -331,7 +405,7 @@ def test_feasibility_not_applicable_without_prox(quad_run):
 
 def test_reports_deterministic(quad_run):
     _, tr, ref = quad_run
-    assert check_energy_gd(tr, ref) == check_energy_gd(tr, ref)
+    assert check_energy(tr, ref) == check_energy(tr, ref)
     assert check_rate(tr, ref) == check_rate(tr, ref)
 
 

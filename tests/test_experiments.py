@@ -666,6 +666,71 @@ def test_check_and_plot_with_a_missing_cell_csv_exit_2(small_run, tmp_path, caps
     assert sorted(run_dir.iterdir()) == files   # no report, no plot
 
 
+TWO_KINDS = """
+[experiment]
+name = two_kinds
+seed = 1
+scale = desk
+out = {out}
+plot = yes
+max_iter = 30
+reference = none
+
+[run.curve]
+problem = curve
+rule = adproxgd
+
+[run.nmf]
+problem = nmf
+rule = adproxgd
+"""
+
+
+@pytest.fixture(scope="module")
+def two_kinds_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run_two_kinds")
+    return out, run_experiment(parse_config(TWO_KINDS.format(out=out)))
+
+
+def _csv_cell(row, col, value):
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[row].split(",")
+        cells[col:col + 1] = value
+        lines[row] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda text: text.replace("iter,", "step,", 1), id="renamed header"),
+    pytest.param(_csv_cell(2, 4, ["abc"]), id="non-number cell"),
+    pytest.param(_csv_cell(2, 11, []), id="short row"),
+])
+def test_plot_on_a_malformed_cell_csv_exits_2_and_check_exits_4(two_kinds_run, tmp_path,
+                                                                capsys, edit):
+    out, results = two_kinds_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for f in out.iterdir():
+        if f.suffix != ".svg":   # so that a plot written before the failure shows
+            (run_dir / f.name).write_bytes(f.read_bytes())
+    victim = run_dir / results[-1].csv_name
+    victim.write_text(edit(victim.read_text()))
+    before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+    assert cli_main(["plot", "--run", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(results[-1].csv_name) in captured.err
+    assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+    assert cli_main(["check", "--run", str(run_dir)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    tags = [f"{r.instance.kind}/{r.trace.rule_name}" for r in results]
+    assert [line.split()[:3] for line in lines if "trace_reproduction" in line] == \
+        [[tags[0], "trace_reproduction", "PASS"], [tags[1], "trace_reproduction", "FAIL"]]
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--problem", "mle", "--out", "g.json"],
     ["run", "--config", "c.ini"],
