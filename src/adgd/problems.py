@@ -224,7 +224,8 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     dominant direction.  The box keeps every iterate positive definite.  The
     minimizer shares Y's eigenvectors: X* = Q diag(clip(1/lambda_i, l, u)) Q'
     for Y = Q diag(lambda) Q', with lambda_i <= 1/u mapped to u.  At the box's
-    last prox output, log det X and X^-1 come from the prox's eigenvalues.
+    last prox output, log det X and X^-1 come from the prox's eigenvalues, and
+    the gradient there arms the box's warm start (see ``SpectralBox``).
     """
     if not (0 < l < u) or M < 1:
         raise ValueError("require 0 < l < u and M >= 1")
@@ -248,7 +249,7 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
         return float(-logdet + np.sum(X * Y))
 
     def gradient(x):
-        Xi = (box.Q / box.c) @ box.Q.T if x is box.x else np.linalg.inv(x.reshape(n, n))
+        Xi = (box.Q / box.c) @ box.Q.T if box.arm(x) else np.linalg.inv(x.reshape(n, n))
         return (Y - 0.5 * (Xi + Xi.T)).ravel()
 
     f = SmoothFunction(

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import adgd.prox
 from adgd.core import NumericalError, zero_prox_friendly
 from adgd.problems import make_problem
 from adgd.prox import (
+    CERT_TOL,
+    EPS,
     SpectralBox,
     affine_indicator,
     dual_entropy_domain,
@@ -16,6 +19,7 @@ from adgd.prox import (
     project_nuclear_ball,
     project_spectral_box,
     prox_dual_entropy_domain,
+    refine_eigh,
 )
 
 
@@ -154,6 +158,67 @@ def test_spectral_box_rejects_asymmetric():
     Z = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         project_spectral_box(Z, 0.1, 10.0)
+
+
+def _warm_prox(Z, basis):
+    box = SpectralBox(Z.shape[0], 0.1, 10.0)
+    box.warm = basis
+    return box.prox(1.0, Z.ravel()).reshape(Z.shape)
+
+
+def test_spectral_box_warm_start_that_does_not_certify_is_lapack_bit_for_bit():
+    rng = np.random.default_rng(17)
+    V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    M = rng.normal(size=(6, 6))
+    Z = 4.0 * (M + M.T)
+    repeated = (V * [0.05, 2.0, 2.0, 2.0, 7.0, 20.0]) @ V.T
+    repeated = 0.5 * (repeated + repeated.T)
+    for Z, basis in ((Z, V),                                         # unrelated basis
+                     (repeated, np.linalg.eigh(repeated)[1]),        # its own basis
+                     (repeated, V)):                                 # the exact one
+        assert refine_eigh(0.5 * (Z + Z.T), basis) is None
+        assert np.array_equal(_warm_prox(Z, basis), project_spectral_box(Z, 0.1, 10.0))
+
+
+def test_spectral_box_warm_start_certifies_near_its_basis():
+    rng = np.random.default_rng(18)
+    V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    Z = (V * np.linspace(-3.0, 14.0, 8)) @ V.T
+    Z = 0.5 * (Z + Z.T)
+    M = rng.normal(size=(8, 8))
+    basis = np.linalg.eigh(Z + 1e-6 * (M + M.T))[1]
+    w, Q = refine_eigh(Z, basis)
+    assert np.max(np.abs(Q.T @ Q - np.eye(8))) <= CERT_TOL * 8 * EPS
+    assert np.allclose(np.sort(w), np.linspace(-3.0, 14.0, 8), rtol=0, atol=1e-13)
+    ref = project_spectral_box(Z, 0.1, 10.0)
+    assert np.max(np.abs(_warm_prox(Z, basis) - ref)) <= 1e-12 * (1.0 + np.max(np.abs(Z)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_box_non_finite_input_takes_the_lapack_path(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(adgd.prox, "refine_eigh", lambda *a: calls.append(a))
+    rng = np.random.default_rng(19)
+    M = rng.normal(size=(5, 5))
+    Z = M + M.T
+    basis = np.linalg.eigh(Z)[1]
+
+    def outcome(project, Z):   # LAPACK may raise on a non-finite input
+        try:
+            with np.errstate(invalid="ignore"):
+                return project(Z)
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+
+    for i, j in ((0, 0), (1, 3)):
+        Zb = Z.copy()
+        Zb[i, j] = Zb[j, i] = bad
+        warm = outcome(lambda Z: _warm_prox(Z, basis), Zb)
+        cold = outcome(lambda Z: project_spectral_box(Z, 0.1, 10.0), Zb)
+        assert np.array_equal(warm, cold, equal_nan=not isinstance(cold, str))
+    Z[2, 2] = 1.0
+    _warm_prox(Z, basis)
+    assert len(calls) == 1   # the finite input alone is offered to the refinement
 
 
 # ---------------------------------------------------------------------------

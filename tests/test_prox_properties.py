@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import adgd.prox
 from adgd.prox import (
+    SpectralBox,
     project_affine,
     project_nonneg,
     project_nuclear_ball,
@@ -66,17 +68,60 @@ def dual_entropy_domain(draw):
     return (lambda z: prox_dual_entropy_domain(z, m)), _points(draw, m + 1)
 
 
+def _check_projection(P, z, w, v):
+    pz, pw, y = P(z), P(w), P(v)
+    scale = 1.0 + np.linalg.norm(z) + np.linalg.norm(w) + np.linalg.norm(v)
+    assert np.linalg.norm(P(pz) - pz) <= 1e-12 * scale
+    assert np.linalg.norm(pz - pw) <= np.linalg.norm(z - w) + 1e-12 * scale
+    assert np.sum((z - pz) * (y - pz)) <= 1e-12 * scale ** 2
+    return pz, scale
+
+
 @pytest.mark.parametrize("sets", [spectral_box, nuclear_ball, nonneg, affine,
                                   dual_entropy_domain], ids=lambda s: s.__name__)
 def test_projection_properties(sets):
     @PROPERTY_SETTINGS
     @given(sets())
     def check(drawn):
-        P, (z, w, v) = drawn
-        pz, pw, y = P(z), P(w), P(v)
-        scale = 1.0 + np.linalg.norm(z) + np.linalg.norm(w) + np.linalg.norm(v)
-        assert np.linalg.norm(P(pz) - pz) <= 1e-12 * scale
-        assert np.linalg.norm(pz - pw) <= np.linalg.norm(z - w) + 1e-12 * scale
-        assert np.sum((z - pz) * (y - pz)) <= 1e-12 * scale ** 2
+        P, points = drawn
+        _check_projection(P, *points)
 
     check()
+
+
+def test_warm_started_spectral_box_properties(monkeypatch):
+    """The box prox refined from the eigenbasis of a perturbed input, Z + eps E
+    with eps up to 1e-2 relative, is a projection, and it agrees with the
+    LAPACK path within 1e-12 * scale whether or not the refinement certified."""
+    certified = []
+    refine = adgd.prox.refine_eigh
+
+    def counted(Z, Q):
+        found = refine(Z, Q)
+        certified.append(found is not None)
+        return found
+
+    monkeypatch.setattr(adgd.prox, "refine_eigh", counted)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 8), st.floats(1e-3, 10.0), st.floats(1e-3, 100.0),
+           st.one_of(st.just(0.0), st.integers(-16, -2).map(lambda k: 10.0 ** k)),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def check(n, l, width, eps, seed, data):
+        rng = np.random.default_rng(seed)
+        box = SpectralBox(n, l, l + width)
+        # mostly well separated spectra, so that the refinement is exercised
+        points = [rng.normal(size=(n, n)) * 10.0 ** data.draw(st.integers(-2, 3))
+                  for _ in range(3)]
+        points = [0.5 * (p + p.T) for p in points]
+
+        def P(Z):
+            E = rng.normal(size=(n, n))
+            box.warm = np.linalg.eigh(Z + eps * np.max(np.abs(Z)) * (E + E.T))[1]
+            return box.prox(1.0, Z.ravel()).reshape(n, n)
+
+        pz, scale = _check_projection(P, *points)
+        assert np.max(np.abs(pz - project_spectral_box(points[0], l, l + width))) <= 1e-12 * scale
+
+    check()
+    assert sum(certified) >= len(certified) // 4

@@ -10,10 +10,12 @@ from adgd.problems import (
     make_counterexample,
     make_dual_entropy,
     make_least_squares,
+    make_problem,
     make_quadratic,
     make_quartic,
 )
-from adgd.prox import nonneg_indicator
+import adgd.prox
+from adgd.prox import SpectralBox, nonneg_indicator, project_spectral_box
 from adgd.solvers import (
     ALPHA0_CAP,
     AdGD1,
@@ -553,3 +555,50 @@ def test_config_validation():
         BadGD(c=0.5)
     with pytest.raises(ValueError):
         FixedStep(alpha=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The spectral box's warm start (mle)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rule", [AdGD2(), Armijo(1.2, 0.5)], ids=["adgd2", "armijo"])
+def test_mle_runs_on_one_instance_do_not_share_a_warm_start(rule):
+    # a run refines only bases of its own factorizations: rerunning an
+    # instance, after a run of another rule on it, writes the same CSV as a
+    # run on a freshly built instance
+    cfg = RunConfig(max_iter=60, alpha0="search", record_trace=False)
+    other = Armijo(1.2, 0.5) if rule == AdGD2() else AdGD2()
+    inst = make_problem("mle", 1)
+    first = trace_csv_text(run_solver(inst, rule, cfg))
+    run_solver(inst, other, cfg)
+    again = trace_csv_text(run_solver(inst, rule, cfg))
+    fresh = trace_csv_text(run_solver(make_problem("mle", 1), rule, cfg))
+    assert first == again == fresh
+
+
+@pytest.mark.parametrize("rule,max_iter", [(AdGD2(), 300), (Armijo(1.2, 0.5), 100)],
+                         ids=["adgd2", "armijo"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mle_warm_prox_outputs_match_lapack(monkeypatch, seed, rule, max_iter):
+    gaps, certified = [], []
+    prox, refine = SpectralBox.prox, adgd.prox.refine_eigh
+
+    def checked_prox(box, alpha, z):
+        x = prox(box, alpha, z)
+        ref = project_spectral_box(z.reshape(box.n, box.n), box.l, box.u).ravel()
+        gaps.append(np.max(np.abs(x - ref)) / (1.0 + np.max(np.abs(z))))
+        return x
+
+    def counted_refine(Z, Q):
+        found = refine(Z, Q)
+        certified.append(found is not None)
+        return found
+
+    monkeypatch.setattr(SpectralBox, "prox", checked_prox)   # before the box is built
+    monkeypatch.setattr(adgd.prox, "refine_eigh", counted_refine)
+    trace = run_solver(make_problem("mle", seed), rule,
+                       RunConfig(max_iter=max_iter, record_rows=False, record_trace=False))
+    assert trace.iters == max_iter
+    assert max(gaps) <= 1e-12
+    assert trace.counters.eig_count == trace.counters.prox_evals == len(gaps)
+    assert sum(certified) >= 0.9 * len(gaps)
