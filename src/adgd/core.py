@@ -54,19 +54,13 @@ class ProxFriendly:
 
     value: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
-    name: str = "g"
     cost: dict = field(default_factory=dict)
     is_zero: bool = False
 
 
 def zero_prox_friendly() -> ProxFriendly:
     """g = 0: the prox is the identity and the value vanishes everywhere."""
-    return ProxFriendly(
-        value=lambda x: 0.0,
-        prox=lambda alpha, z: z,
-        name="zero",
-        is_zero=True,
-    )
+    return ProxFriendly(value=lambda x: 0.0, prox=lambda alpha, z: z, is_zero=True)
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,6 @@ class CompositeProblem:
 
     f: SmoothFunction
     g: ProxFriendly
-    label: str = ""
     cost_model: dict = field(default_factory=dict)
 
     @property
@@ -91,8 +84,7 @@ class CompositeProblem:
         return not self.g.is_zero
 
 
-def composite(f: SmoothFunction, g: Optional[ProxFriendly] = None,
-              label: str = "") -> CompositeProblem:
+def composite(f: SmoothFunction, g: Optional[ProxFriendly] = None) -> CompositeProblem:
     """Assemble a composite problem, defaulting g to the zero function."""
     if g is None:
         g = zero_prox_friendly()
@@ -101,7 +93,7 @@ def composite(f: SmoothFunction, g: Optional[ProxFriendly] = None,
         "gradient": {"grad_evals": 1},
         "prox": {"prox_evals": 1, **g.cost},
     }
-    return CompositeProblem(f=f, g=g, label=label or f.name, cost_model=cost_model)
+    return CompositeProblem(f=f, g=g, cost_model=cost_model)
 
 
 @dataclass(frozen=True)
@@ -120,14 +112,18 @@ class ReferenceSolution:
     provenance: str = ""
 
 
-def evaluate_composite(p: CompositeProblem, x) -> float:
-    """F(x) = f(x) + g(x); +inf whenever g(x) = +inf."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+def evaluate_composite(p: CompositeProblem, x, f_val=None) -> float:
+    """F(x) = f(x) + g(x); +inf whenever g(x) = +inf.  ``f_val``, when given,
+    is f(x).  A flat float64 x is not copied: an indicator skips its
+    decomposition at its last prox output itself, never at a copy."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        x = x.ravel()
     p.f.check_dim(x)
     gx = p.g.value(x)
     if gx == np.inf:
         return np.inf
-    return float(p.f.value(x)) + float(gx)
+    return float(p.f.value(x) if f_val is None else f_val) + float(gx)
 
 
 # ---------------------------------------------------------------------------

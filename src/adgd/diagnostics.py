@@ -27,6 +27,8 @@ from .solvers import Trace
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
+MONOTONICITY_TOL = 1e-9   # additive slack of both monotonicity checks
+RATE_REL_TOL = 1e-6       # relative slack of the rate bound
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def check_feasibility(problem, trace: Trace) -> CertificateReport:
 # Monotonicity facts
 # ---------------------------------------------------------------------------
 
-def check_gradient_monotonicity(trace: Trace, tol: float = 1e-9) -> CertificateReport:
+def check_gradient_monotonicity(trace: Trace) -> CertificateReport:
     """<grad^k, grad^{k-1}> <= ||grad^{k-1}||^2 (+ tol scaling) at GD iterates."""
     name = "gradient_monotonicity"
     if trace.prox_run:
@@ -106,8 +108,8 @@ def check_gradient_monotonicity(trace: Trace, tol: float = 1e-9) -> CertificateR
     _need_recorded(trace)
     g = trace.grads
     sq = np.vecdot(g[:-1], g[:-1])
-    viol = np.vecdot(g[1:], g[:-1]) - sq - tol * (1.0 + sq)
-    return _report(name, viol, np.arange(1, g.shape[0]), tol)
+    viol = np.vecdot(g[1:], g[:-1]) - sq - MONOTONICITY_TOL * (1.0 + sq)
+    return _report(name, viol, np.arange(1, g.shape[0]), MONOTONICITY_TOL)
 
 
 def _subgradient_norms(trace: Trace, n: int, shift: int) -> np.ndarray:
@@ -118,15 +120,15 @@ def _subgradient_norms(trace: Trace, n: int, shift: int) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def check_subgradient_monotonicity(trace: Trace, tol: float = 1e-9) -> CertificateReport:
+def check_subgradient_monotonicity(trace: Trace) -> CertificateReport:
     """||grad^k + v^{k+1}|| <= ||grad^k + v^k|| (+ tol) at proximal iterates."""
     name = "subgradient_monotonicity"
     if not trace.prox_run:
         return _not_applicable(name, "no prox-friendly part")
     _need_recorded(trace)
     n = min(trace.grads.shape[0], trace.xs.shape[0]) - 1
-    viol = _subgradient_norms(trace, n, 1) - _subgradient_norms(trace, n, 0) - tol
-    return _report(name, viol, np.arange(n), tol)
+    viol = _subgradient_norms(trace, n, 1) - _subgradient_norms(trace, n, 0) - MONOTONICITY_TOL
+    return _report(name, viol, np.arange(n), MONOTONICITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +287,7 @@ def check_energy(trace: Trace, reference: ReferenceSolution) -> CertificateRepor
     return _report(name, lhs - rhs - tol, np.arange(1, K), tol)
 
 
-def check_rate(trace: Trace, reference: ReferenceSolution,
-               rel_tol: float = 1e-6) -> CertificateReport:
+def check_rate(trace: Trace, reference: ReferenceSolution) -> CertificateReport:
     """Running-min bound  min_{i<=k}(F(x^i)-F*) <= R^2 / (2 sum_{i=1}^k a_i),
     with R^2 = ||x^0-x*||^2 + 2 a_0^2 ||S^0||^2 + a_0 (F(x^0)-F*), where S^0 is
     grad f(x^0), as v^0 = 0."""
@@ -300,8 +301,8 @@ def check_rate(trace: Trace, reference: ReferenceSolution,
           + 2.0 * a[0] ** 2 * float(S0 @ S0) + a[0] * (F[0] - reference.F_star))
     run_min = np.minimum.accumulate(F[1:trace.iters] - reference.F_star)
     bound = R2 / (2.0 * np.cumsum(a[1:]))
-    viol = run_min - bound * (1 + rel_tol) - 2.0 * reference.tolerance
-    return _report(name, viol, np.arange(1, trace.iters), rel_tol,
+    viol = run_min - bound * (1 + RATE_REL_TOL) - 2.0 * reference.tolerance
+    return _report(name, viol, np.arange(1, trace.iters), RATE_REL_TOL,
                    f"R^2={R2:.3e}")
 
 
@@ -398,8 +399,7 @@ def trajectory_curvature_sweep(problem, trace: Trace, n_samples: int = 200,
 # ---------------------------------------------------------------------------
 
 def run_certificates(problem, trace: Trace,
-                     reference: Optional[ReferenceSolution] = None,
-                     L_ref: Optional[float] = None) -> List[CertificateReport]:
+                     reference: Optional[ReferenceSolution] = None) -> List[CertificateReport]:
     """All certificates applicable to this (problem, trace) pair.
 
     Convexity-dependent checks (gradient monotonicity, energy, rate) are
@@ -408,7 +408,7 @@ def run_certificates(problem, trace: Trace,
     """
     reports = []
     reports.extend(check_stepsize_bounds(trace))
-    reports.extend(check_stepsize_sum(trace, L_ref))
+    reports.extend(check_stepsize_sum(trace))
     reports.append(check_subgradient_monotonicity(trace))
     if problem.convex:
         reports.append(check_gradient_monotonicity(trace))

@@ -466,7 +466,7 @@ def plot_run_dir(run_dir) -> List[Path]:
         for cell, cols in loaded:
             ops = row_essential_units(kind, cell["rule"]["kind"], cols)
             gaps = cols["F"] - anchor
-            curves.append((_rule_label(cell["rule"]), ops, gaps))
+            curves.append((rule_from_dict(cell["rule"]).label, ops, gaps))
         plots.append((kind, curves))
     outputs = []
     for kind, curves in plots:
@@ -476,14 +476,6 @@ def plot_run_dir(run_dir) -> List[Path]:
                      y_label="F - F_ref")
         outputs.append(path)
     return outputs
-
-
-def _rule_label(rule_dict: dict) -> str:
-    if rule_dict["kind"] == "armijo":
-        return f"({rule_dict['s']:g}, {rule_dict['r']:g})"
-    if rule_dict["kind"] in ("adgd2", "adproxgd"):
-        return "adaptive"
-    return rule_dict["kind"]
 
 
 def check_run_dir(run_dir, reports_out: Optional[Path] = None):

@@ -23,7 +23,6 @@ from .core import (
 from .prox import (
     SpectralBox,
     affine_indicator,
-    dual_entropy_domain,
     nonneg_indicator,
     nuclear_ball_indicator,
     project_affine,
@@ -68,7 +67,7 @@ class ProblemInstance:
 
     @property
     def label(self) -> str:
-        return self.composite.label
+        return self.composite.f.name
 
 
 def _freeze(*arrays):
@@ -138,13 +137,20 @@ def make_least_squares(seed: int, n: int, d: int) -> ProblemInstance:
     )
 
 
+def _sigmoid(t: float) -> float:
+    """1 / (1 + e^-t), 0 once e^-t overflows; equal to ``scipy.special.expit``."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
+
+
 def make_logistic(seed: int, d: int) -> ProblemInstance:
     """Single-sample logistic loss log(1 + exp(-b a'x)); flat far out.
 
     The infimum 0 is not attained, so references for it are plateau anchors
     produced by a long run rather than true minimizers.
     """
-    from scipy.special import expit  # here, not at the top: SciPy doubles `import adgd`
     rng = np.random.default_rng(seed)
     a = rng.normal(size=d)
     y = 1.0 if rng.random() < 0.5 else -1.0
@@ -155,7 +161,7 @@ def make_logistic(seed: int, d: int) -> ProblemInstance:
         return float(np.logaddexp(0.0, -y * float(a @ x)))
 
     def gradient(x):
-        return (-y * expit(-y * float(a @ x))) * a
+        return (-y * _sigmoid(-y * float(a @ x))) * a
 
     f = SmoothFunction(
         dimension=d,
@@ -270,7 +276,7 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
 
     return ProblemInstance(
         kind="mle",
-        composite=composite(f, box.indicator(), label=f.name),
+        composite=composite(f, box.indicator()),
         x0=x0.ravel(),
         generator_seed=seed,
         metadata={"n": n, "l": l, "u": u, "M": M},
@@ -315,7 +321,7 @@ def make_lrmc(seed: int, n: int, r: int = 10, fraction: float = 0.2) -> ProblemI
     )
     return ProblemInstance(
         kind="lrmc",
-        composite=composite(f, nuclear_ball_indicator((n, n), float(r)), label=f.name),
+        composite=composite(f, nuclear_ball_indicator((n, n), float(r))),
         x0=np.zeros(n * n),
         generator_seed=seed,
         metadata={"n": n, "r": r, "fraction": fraction},
@@ -367,7 +373,7 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
     x0 = project_affine(np.zeros(n), A, b)
     return ProblemInstance(
         kind="curve",
-        composite=composite(f, g, label=f.name),
+        composite=composite(f, g),
         x0=x0,
         generator_seed=seed,
         metadata={"m": m, "n": n},
@@ -414,7 +420,7 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
     x0 = np.abs(np.random.default_rng([seed, 7001, start_index]).normal(size=dim))
     return ProblemInstance(
         kind="nmf",
-        composite=composite(f, nonneg_indicator(), label=f.name),
+        composite=composite(f, nonneg_indicator()),
         x0=x0,
         generator_seed=seed,
         metadata={"n": n, "r": r, "start_index": start_index},
@@ -489,7 +495,7 @@ def make_dual_entropy(seed: int, m: int, n: int) -> ProblemInstance:
     )
     return ProblemInstance(
         kind="dual_entropy",
-        composite=composite(f, dual_entropy_domain(m), label=f.name),
+        composite=composite(f, nonneg_indicator(m)),
         x0=np.zeros(dim),
         generator_seed=seed,
         metadata={"m": m, "n": n},
@@ -545,7 +551,9 @@ def make_problem(kind: str, seed: int = 0, scale: str = "desk", **overrides) -> 
     """Build a problem by name at a named scale; overrides win over the scale."""
     if kind not in MAKERS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    params = dict(SCALES.get(scale, SCALES["desk"]).get(kind, {}))
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    params = dict(SCALES[scale].get(kind, {}))
     params.update(overrides)
     return MAKERS[kind](seed=seed, **params)
 

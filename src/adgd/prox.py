@@ -179,18 +179,20 @@ def project_nuclear_ball(Z: np.ndarray, r: float) -> np.ndarray:
 # ProxFriendly factories (flattened-point interface used by the solvers)
 # ---------------------------------------------------------------------------
 
-def nonneg_indicator() -> ProxFriendly:
-    """Indicator of the nonnegative orthant."""
+def nonneg_indicator(m=None) -> ProxFriendly:
+    """Indicator of {x : x[:m] >= 0}: the nonnegative orthant when ``m`` is
+    None, else the coordinates past the leading m are free."""
 
     def value(x):
-        return 0.0 if np.min(x, initial=0.0) >= -FEAS_TOL else np.inf
+        return 0.0 if np.min(x[:m], initial=0.0) >= -FEAS_TOL else np.inf
 
-    return ProxFriendly(
-        value=value,
-        prox=lambda alpha, z: project_nonneg(z),
-        name="nonneg",
-        cost={"projection_count": 1},
-    )
+    def prox(alpha, z):
+        out = project_nonneg(z)
+        if m is not None:
+            out[m:] = z[m:]
+        return out
+
+    return ProxFriendly(value=value, prox=prox, cost={"projection_count": 1})
 
 
 def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
@@ -205,12 +207,8 @@ def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
     def value(x):
         return 0.0 if np.linalg.norm(A @ x - b) <= tol else np.inf
 
-    return ProxFriendly(
-        value=value,
-        prox=lambda alpha, z: project_affine(z, A, b, pinv),
-        name="affine",
-        cost={"projection_count": 1},
-    )
+    return ProxFriendly(value=value, prox=lambda alpha, z: project_affine(z, A, b, pinv),
+                        cost={"projection_count": 1})
 
 
 class SpectralBox:
@@ -253,7 +251,7 @@ class SpectralBox:
         return 0.0 if w[0] >= self.l - slack and w[-1] <= self.u + slack else np.inf
 
     def indicator(self) -> ProxFriendly:
-        return ProxFriendly(value=self.value, prox=self.prox, name="spectral_box",
+        return ProxFriendly(value=self.value, prox=self.prox,
                             cost={"eig_count": 1, "projection_count": 1})
 
 
@@ -275,26 +273,4 @@ def nuclear_ball_indicator(shape: tuple, r: float) -> ProxFriendly:
         last.flags.writeable = False
         return last
 
-    return ProxFriendly(value=value, prox=prox, name="nuclear_ball",
-                        cost={"svd_count": 1, "projection_count": 1})
-
-
-def dual_entropy_domain(m: int) -> ProxFriendly:
-    """Indicator of {(lam, mu) : lam >= 0}; mu (the last coordinate) is free."""
-
-    def value(x):
-        return 0.0 if np.min(x[:m], initial=0.0) >= -FEAS_TOL else np.inf
-
-    return ProxFriendly(
-        value=value,
-        prox=lambda alpha, z: prox_dual_entropy_domain(z, m),
-        name="dual_entropy_domain",
-        cost={"projection_count": 1},
-    )
-
-
-def prox_dual_entropy_domain(z: np.ndarray, m: int) -> np.ndarray:
-    """Clamp the leading m coordinates at zero, leave the multiplier free."""
-    out = np.array(z, dtype=np.float64)
-    out[:m] = np.maximum(out[:m], 0.0)
-    return out
+    return ProxFriendly(value=value, prox=prox, cost={"svd_count": 1, "projection_count": 1})

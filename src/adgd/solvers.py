@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .accounting import Counters, apply_event
-from .core import NumericalError
+from .core import NumericalError, evaluate_composite
 
 DIVERGENCE_NORM = 1e10
 ALPHA_CLAMP = 1e308
@@ -43,10 +43,10 @@ class StationaryStart(RuntimeError):
 class StepsizeRule:
     """What the loop asks of a rule.
 
-    ``kind`` names the rule in configs and run metadata; the dataclass fields
-    of a subclass are its parameters.  Every rule but the linesearch one has
-    ``stepsize(alpha_prev, theta_prev, L)``: alpha_k from alpha_{k-1},
-    theta_{k-1} and the curvature estimate L_k.
+    ``kind`` names the rule in configs and run metadata, ``label`` in plot
+    legends; the dataclass fields of a subclass are its parameters.  Every
+    rule but the linesearch one has ``stepsize(alpha_prev, theta_prev, L)``:
+    alpha_k from alpha_{k-1}, theta_{k-1} and the curvature estimate L_k.
     """
     kind = ""
     theta0 = 0.0             # theta_0, which the first step reports
@@ -57,6 +57,10 @@ class StepsizeRule:
 
     @property
     def name(self) -> str:
+        return self.kind
+
+    @property
+    def label(self) -> str:
         return self.kind
 
     def trace_name(self, prox_run: bool) -> str:
@@ -82,6 +86,7 @@ class AdGD2(StepsizeRule):
     method; the stepsize rule is identical.
     """
     kind = "adgd2"
+    label = "adaptive"
     theta0 = 1.0 / 3.0
     prox_ok = True
 
@@ -148,6 +153,10 @@ class Armijo(StepsizeRule):
     def name(self) -> str:
         return f"armijo_s{self.s:g}_r{self.r:g}"
 
+    @property
+    def label(self) -> str:
+        return f"({self.s:g}, {self.r:g})"
+
 
 @dataclass(frozen=True)
 class BadGD(StepsizeRule):
@@ -199,7 +208,12 @@ def _eval_value(comp, x, on_event):
     return float(comp.f.value(x))
 
 
-def _eval_prox(comp, alpha, z, on_event):
+def _step(comp, x, g, alpha, on_event):
+    """The forward-backward step prox_{alpha g}(x - alpha grad f(x)), where
+    ``g`` is grad f(x); the gradient step itself without a prox-friendly part."""
+    z = x - alpha * g
+    if not comp.has_prox_part:
+        return z
     on_event("prox")
     return comp.g.prox(alpha, z)
 
@@ -215,11 +229,9 @@ def armijo_search(comp, x, g, alpha_prev: float, s: float, r: float, f_curr: flo
     costs one f evaluation (plus one prox when the problem has a prox-friendly
     part), reported to ``on_event``.  The accepted evaluation is the reusable one.
     """
-    prox_run = comp.has_prox_part
     for i in range(MAX_LINESEARCH_TRIALS + 1):
         alpha = s * (r ** i) * alpha_prev
-        z = x - alpha * g
-        y = _eval_prox(comp, alpha, z, on_event) if prox_run else z
+        y = _step(comp, x, g, alpha, on_event)
         f_y = _eval_value(comp, y, on_event)
         d = y - x
         if f_y <= f_curr + float(g @ d) + float(d @ d) / (2.0 * alpha):
@@ -248,11 +260,9 @@ def _alpha0_search(comp, x0, g0, on_event):
     """
     if float(np.linalg.norm(g0)) == 0.0:
         raise StationaryStart("gradient at x0 is zero; already stationary")
-    prox_run = comp.has_prox_part
 
     def product(alpha):
-        z = x0 - alpha * g0
-        y = _eval_prox(comp, alpha, z, on_event) if prox_run else z
+        y = _step(comp, x0, g0, alpha, on_event)
         dx = float(np.linalg.norm(y - x0))
         if dx == 0.0:
             return 0.0
@@ -277,23 +287,16 @@ def _alpha0_search(comp, x0, g0, on_event):
     p = product(alpha)
     if ALPHA0_LOW <= p <= ALPHA0_HIGH:
         return alpha
-    if p < ALPHA0_LOW:
-        while alpha < ALPHA0_CAP:
-            nxt = min(10.0 * alpha, ALPHA0_CAP)
-            p_nxt = product(nxt)
-            if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
-                return nxt
-            if p_nxt > ALPHA0_HIGH:
-                return bisect(alpha, nxt)
-            alpha = nxt
-        return ALPHA0_CAP  # degenerate: product stays below the window
+    up = p < ALPHA0_LOW   # a NaN product searches down
     for _ in range(600):
-        nxt = alpha / 10.0
-        p_nxt = product(nxt)
-        if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
+        if alpha == ALPHA0_CAP:
+            return ALPHA0_CAP  # degenerate: product stays below the window
+        nxt = min(10.0 * alpha, ALPHA0_CAP) if up else alpha / 10.0
+        p = product(nxt)
+        if ALPHA0_LOW <= p <= ALPHA0_HIGH:
             return nxt
-        if p_nxt < ALPHA0_LOW:
-            return bisect(nxt, alpha)
+        if (p > ALPHA0_HIGH) if up else (p < ALPHA0_LOW):   # leapt over the window
+            return bisect(*sorted((alpha, nxt)))
         alpha = nxt
     raise NumericalError("initial stepsize search failed to terminate")
 
@@ -313,14 +316,15 @@ class RunConfig:
     divergence_norm: float = DIVERGENCE_NORM
 
     def __post_init__(self):
-        # a setting of the wrong type raises TypeError here, not in the loop
-        if operator.index(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if self.alpha0 != "search" and not (isinstance(self.alpha0, (int, float))
-                                            and self.alpha0 > 0):
-            raise ValueError("alpha0 must be a positive float or 'search'")
+        # a setting of the wrong type raises TypeError here, not in the loop;
+        # a bool is no number here, as in a config
+        if isinstance(self.max_iter, bool) or operator.index(self.max_iter) < 1:
+            raise ValueError("max_iter must be an integer >= 1")
+        if isinstance(self.grad_tol, bool) or not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
+        if self.alpha0 != "search" and (isinstance(self.alpha0, bool) or not (
+                isinstance(self.alpha0, (int, float)) and 0 < self.alpha0 < math.inf)):
+            raise ValueError("alpha0 must be a positive finite float or 'search'")
         if self.record_trace and not self.record_rows:
             raise ValueError("record_trace requires record_rows")
 
@@ -385,15 +389,6 @@ class Trace:
         return float(np.max(self.curvatures[1:]))
 
 
-def _objective(comp, x, f_val=None) -> float:
-    """Bookkeeping objective for the trace; never counted."""
-    gx = comp.g.value(x)
-    if gx == np.inf:
-        return math.inf
-    fx = comp.f.value(x) if f_val is None else f_val
-    return float(fx) + float(gx)
-
-
 def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     """Run ``rule`` on ``problem`` from ``problem.x0`` until the
     gradient-mapping surrogate
@@ -418,7 +413,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
     x0 = np.array(problem.x0, dtype=np.float64)
     comp.f.check_dim(x0)
-    if prox_run and comp.g.value(x0) == np.inf:
+    if comp.g.value(x0) == np.inf:
         raise ValueError("starting point is not in the domain of g")
 
     linesearch = rule.linesearch
@@ -436,7 +431,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         alpha0 = float(config.alpha0)
 
     trace = Trace(rule=rule, prox_run=prox_run, alpha0=alpha0, alpha0_searched=searched,
-                  F_initial=_objective(comp, x0, f_val=f_curr))
+                  F_initial=evaluate_composite(comp, x0, f_val=f_curr))
 
     steps, crows, xs, grads = [], [], [], []   # steps: (alpha, theta, L, step_norm, F)
     record = config.record_trace
@@ -472,8 +467,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 else:
                     alpha_k = rule.stepsize(alpha_prev, theta_prev, L_k)
                     theta_k = alpha_k / alpha_prev
-                z = x_curr - alpha_k * g_curr
-                x_next = _eval_prox(comp, alpha_k, z, on_event) if prox_run else z
+                x_next = _step(comp, x_curr, g_curr, alpha_k, on_event)
                 f_next = None
 
             # ||x_next||^2 serves the finiteness and the divergence test; it is
@@ -487,7 +481,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
             step_norm = _norm(x_next - x_curr) if finite else math.inf
             trace.final_residual = step_norm / alpha_k
             if rows or not finite:
-                F_next = _objective(comp, x_next, f_val=f_next) if finite else math.inf
+                F_next = evaluate_composite(comp, x_next, f_val=f_next) if finite else math.inf
             if rows:
                 steps.append((alpha_k, theta_k, L_k, step_norm, F_next))
                 crows.append(counters.snapshot())
@@ -519,7 +513,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     trace.counters = counters
     trace.x_final = np.array(x_curr, dtype=np.float64)
     trace.F_final = F_next if (rows or not np.all(np.isfinite(x_curr))) \
-        else _objective(comp, x_curr)
+        else evaluate_composite(comp, x_curr)
     if record:
         if g_curr is None and np.all(np.isfinite(x_curr)):
             grads.append(comp.f.gradient(x_curr))  # diagnostics only, uncounted

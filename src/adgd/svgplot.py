@@ -23,8 +23,7 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def gap_plot_svg(title: str, curves, out_path, x_label: str = "essential operations",
-                 y_label: str = "objective gap") -> None:
+def gap_plot_svg(title: str, curves, out_path, x_label: str, y_label: str) -> None:
     """Write a log-y plot of the given curves.
 
     ``curves`` is a list of (label, xs, ys); nonpositive gap values are

@@ -406,3 +406,64 @@ def loop_rate(trace, reference, rel_tol: float = 1e-6) -> CertificateReport:
         its.append(k)
     return _report(name, viol, its, rel_tol,
                    f"R^2={R2:.3e}")
+
+
+def two_loop_alpha0_search(comp, x0, g0, on_event):
+    """The initial stepsize search written as two mirrored loops, one up (x10
+    to the cap) and one down (/10), each with its own prox branch: the
+    reference for the single-loop ``adgd.solvers._alpha0_search``."""
+    from adgd.solvers import ALPHA0_CAP, ALPHA0_HIGH, ALPHA0_LOW, StationaryStart
+
+    if float(np.linalg.norm(g0)) == 0.0:
+        raise StationaryStart("gradient at x0 is zero; already stationary")
+    prox_run = comp.has_prox_part
+
+    def product(alpha):
+        z = x0 - alpha * g0
+        if prox_run:
+            on_event("prox")
+            y = comp.g.prox(alpha, z)
+        else:
+            y = z
+        dx = float(np.linalg.norm(y - x0))
+        if dx == 0.0:
+            return 0.0
+        on_event("gradient")
+        g_y = comp.f.gradient(y)
+        return alpha * float(np.linalg.norm(g_y - g0)) / dx
+
+    def bisect(lo, hi):
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            p = product(mid)
+            if ALPHA0_LOW <= p <= ALPHA0_HIGH:
+                return mid
+            if p < ALPHA0_LOW:
+                lo = mid
+            else:
+                hi = mid
+        raise NumericalError("initial stepsize bisection failed to land in the window")
+
+    alpha = 1.0
+    p = product(alpha)
+    if ALPHA0_LOW <= p <= ALPHA0_HIGH:
+        return alpha
+    if p < ALPHA0_LOW:
+        while alpha < ALPHA0_CAP:
+            nxt = min(10.0 * alpha, ALPHA0_CAP)
+            p_nxt = product(nxt)
+            if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
+                return nxt
+            if p_nxt > ALPHA0_HIGH:
+                return bisect(alpha, nxt)
+            alpha = nxt
+        return ALPHA0_CAP
+    for _ in range(600):
+        nxt = alpha / 10.0
+        p_nxt = product(nxt)
+        if ALPHA0_LOW <= p_nxt <= ALPHA0_HIGH:
+            return nxt
+        if p_nxt < ALPHA0_LOW:
+            return bisect(nxt, alpha)
+        alpha = nxt
+    raise NumericalError("initial stepsize search failed to terminate")

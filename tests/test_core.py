@@ -14,6 +14,7 @@ from adgd.problems import (
     make_min_curve,
     make_mle,
     make_nmf,
+    make_problem,
     make_quadratic,
     make_quartic,
 )
@@ -53,6 +54,26 @@ def test_composite_deterministic():
     v1 = evaluate_composite(inst.composite, x)
     v2 = evaluate_composite(inst.composite, x)
     assert v1 == v2
+
+
+@pytest.mark.parametrize("kind", ["mle", "lrmc"])
+def test_composite_at_the_last_prox_output_takes_no_decomposition(kind, monkeypatch):
+    # the spectral box and the nuclear ball know their own last prox output,
+    # so evaluate_composite must pass that very array, not a flattened copy
+    inst = make_problem(kind, 1)
+    comp = inst.composite
+    x = comp.g.prox(1.0, 3.0 * inst.sample_point(np.random.default_rng(3)))
+    copy = x.copy()
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("decomposition at the prox output")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
+    monkeypatch.setattr(np.linalg, "svd", no_decomposition)
+    assert evaluate_composite(comp, x) == comp.f.value(x)
+    assert evaluate_composite(comp, x, f_val=2.5) == 2.5
+    with pytest.raises(AssertionError, match="decomposition"):
+        evaluate_composite(comp, copy)   # a copy gets the full test
 
 
 def test_fd_quadratic_exact_to_rounding():

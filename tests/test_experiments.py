@@ -589,6 +589,11 @@ def _with_meta(change):
     pytest.param(_with_meta(lambda meta: meta.update(grad_tol="tiny")), id="grad_tol text"),
     pytest.param(_with_meta(lambda meta: meta.update(alpha0=-1)), id="alpha0 -1"),
     pytest.param(_with_meta(lambda meta: meta.update(alpha0=None)), id="alpha0 null"),
+    # json writes these as Infinity and true; RunConfig rejects them as a config does
+    pytest.param(_with_meta(lambda meta: meta.update(alpha0=math.inf)), id="alpha0 Infinity"),
+    pytest.param(_with_meta(lambda meta: meta.update(alpha0=True)), id="alpha0 true"),
+    pytest.param(_with_meta(lambda meta: meta.update(max_iter=True)), id="max_iter true"),
+    pytest.param(_with_meta(lambda meta: meta.update(grad_tol=math.inf)), id="grad_tol Infinity"),
     pytest.param(_with_meta(lambda meta: meta.update(reference="maybe")), id="reference maybe"),
 ])
 @pytest.mark.parametrize("command", ["check", "plot"])
@@ -809,9 +814,9 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
 NO_SCIPY_SCRIPT = """
 import sys
 import adgd.cli
-from adgd.problems import EXPERIMENT_KINDS, make_problem
+from adgd.problems import MAKERS, make_problem
 for scale in ("desk", "paper"):
-    for kind in EXPERIMENT_KINDS:
+    for kind in MAKERS:
         inst = make_problem(kind, 1, scale)
         inst.composite.f.value(inst.x0)
         inst.composite.g.prox(1.0, inst.x0 + inst.composite.f.gradient(inst.x0))
@@ -837,8 +842,8 @@ rule = adproxgd
 
 
 def test_cli_and_every_experiment_kind_run_without_scipy(tmp_path):
-    # SciPy's import is half of `import adgd.cli`; no experiment path may load it,
-    # at import or later in a run, its references and plots included
+    # SciPy's import is half of `import adgd.cli`; no problem and no experiment path
+    # may load it, at import or later in a run, its references and plots included
     cfg = tmp_path / "cells.cfg"
     cfg.write_text(NO_SCIPY_CELLS)
     src = str(Path(adgd.__file__).resolve().parents[1])

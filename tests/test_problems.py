@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from adgd.core import NumericalError
 from adgd.problems import (
     EXPERIMENT_KINDS,
     MAKERS,
     _logsumexp,
+    _sigmoid,
     counterexample_f,
     instance_descriptor,
     instance_from_descriptor,
@@ -309,6 +310,16 @@ def test_logsumexp_bit_identical_to_scipy():
     assert _logsumexp(a) == logsumexp(a)
 
 
+def test_sigmoid_bit_identical_to_expit():
+    # make_logistic's gradient used scipy.special.expit before it used _sigmoid
+    edges = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 710.0, -710.0, 746.0, -746.0,
+             math.inf, -math.inf]
+    sample = np.random.default_rng(62).normal(scale=300.0, size=4000)
+    for t in [*edges, *sample.tolist()]:
+        assert _sigmoid(t) == float(expit(t)), t
+    assert math.isnan(_sigmoid(math.nan)) and math.isnan(expit(math.nan))
+
+
 def test_dual_entropy_exponent_overflow_raises():
     inst = make_dual_entropy(53, 8, 5)
     x = np.zeros(9)
@@ -323,6 +334,12 @@ def test_dual_entropy_exponent_overflow_raises():
 def test_scales_defined(kind):
     desk = make_problem(kind, seed=9, scale="desk")
     assert desk.dimension >= 1
+
+
+@pytest.mark.parametrize("scale", ["Paper", "nonsense", ""])
+def test_make_problem_rejects_an_unknown_scale(scale):
+    with pytest.raises(ValueError, match="unknown scale"):
+        make_problem("mle", 1, scale)
 
 
 def test_experiment_kinds_are_the_kinds_with_a_prox_part():

@@ -10,7 +10,6 @@ from adgd.prox import (
     EPS,
     SpectralBox,
     affine_indicator,
-    dual_entropy_domain,
     nonneg_indicator,
     nuclear_ball_indicator,
     project_affine,
@@ -18,7 +17,6 @@ from adgd.prox import (
     project_nonneg,
     project_nuclear_ball,
     project_spectral_box,
-    prox_dual_entropy_domain,
     refine_eigh,
 )
 
@@ -279,17 +277,17 @@ def test_l1_matches_oracle():
 # ---------------------------------------------------------------------------
 
 def test_dual_entropy_domain_clamps_lambda_block():
-    out = prox_dual_entropy_domain(np.array([-1.0, 2.0, 3.0]), m=2)
+    out = nonneg_indicator(2).prox(1.0, np.array([-1.0, 2.0, 3.0]))
     assert np.array_equal(out, [0.0, 2.0, 3.0])
 
 
 def test_dual_entropy_domain_feasible_unchanged():
     v = np.array([0.5, 0.0, -7.0])
-    assert np.array_equal(prox_dual_entropy_domain(v, m=2), v)
+    assert np.array_equal(nonneg_indicator(2).prox(1.0, v), v)
 
 
 def test_dual_entropy_domain_mu_free():
-    out = prox_dual_entropy_domain(np.array([1.0, -5.0]), m=1)
+    out = nonneg_indicator(1).prox(1.0, np.array([1.0, -5.0]))
     assert out[1] == -5.0
 
 
@@ -324,7 +322,7 @@ def _operators():
         ("affine", affine_indicator(A, b), _gauss(9)),
         ("spectral_box", SpectralBox(4, 0.1, 10.0).indicator(), _sym_gauss(4)),
         ("nuclear_ball", nuclear_ball_indicator((3, 3), 2.0), _gauss(9)),
-        ("dual_entropy", dual_entropy_domain(8), _gauss(9)),
+        ("dual_entropy", nonneg_indicator(8), _gauss(9)),
     ]
 
 

@@ -16,11 +16,11 @@ from hypothesis.extra import numpy as hnp
 import adgd.prox
 from adgd.prox import (
     SpectralBox,
+    nonneg_indicator,
     project_affine,
     project_nonneg,
     project_nuclear_ball,
     project_spectral_box,
-    prox_dual_entropy_domain,
 )
 
 ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -65,7 +65,7 @@ def affine(draw):
 @st.composite
 def dual_entropy_domain(draw):
     m = draw(st.integers(1, 8))
-    return (lambda z: prox_dual_entropy_domain(z, m)), _points(draw, m + 1)
+    return (lambda z: nonneg_indicator(m).prox(1.0, z)), _points(draw, m + 1)
 
 
 def _check_projection(P, z, w, v):

@@ -34,7 +34,7 @@ from adgd.solvers import (
     run_solver,
 )
 
-from oracles import curvature_estimate, recover_subgradient
+from oracles import curvature_estimate, recover_subgradient, two_loop_alpha0_search
 
 SQ2 = math.sqrt(2.0)
 
@@ -192,7 +192,7 @@ def test_proxgd_with_zero_prox_matches_gd_bitwise():
     inst = make_quadratic(60, 8, 30.0)
     plain = inst.composite
     wrapped = composite(plain.f, ProxFriendly(value=lambda x: 0.0,
-                                              prox=lambda a, z: z, name="zero-ish"))
+                                              prox=lambda a, z: z))
     cfg = RunConfig(max_iter=20, grad_tol=1e-300, alpha0=0.01)
     tr_g = run_solver(instance(plain, inst.x0), AdGD2(), cfg)
     tr_p = run_solver(instance(wrapped, inst.x0), AdGD2(), cfg)
@@ -395,6 +395,60 @@ def test_alpha0_stationary_start_raises():
         run_solver(instance(comp, np.zeros(3)), AdGD2(), RunConfig(max_iter=5))
     with pytest.raises(StationaryStart):
         _alpha0_search(comp, np.zeros(3), np.zeros(3), [].append)
+
+
+def _one_dim(gradient):
+    """A 1-D problem from x0 = 0 with derivative ``gradient(y)``."""
+    f = SmoothFunction(1, lambda x: 0.0, lambda x: np.array([gradient(float(x[0]))]))
+    return lambda: instance(composite(f), [0.0])
+
+
+def _kinked(below, above, at):
+    """f'(y) = 1 + k y, k = ``below`` for |y| < ``at`` else ``above``: the
+    product k alpha jumps by above / below where alpha crosses ``at``."""
+    return _one_dim(lambda y: 1.0 + (below if abs(y) < at else above) * y)
+
+
+ALPHA0_CASES = {
+    **{f"{kind}-{seed}": (lambda kind=kind, seed=seed: make_problem(kind, seed))
+       for kind in ("mle", "lrmc", "curve", "nmf", "dual_entropy") for seed in (1, 2)},
+    **{kind: (lambda kind=kind: make_problem(kind, 1))
+       for kind in ("quadratic", "quartic", "logistic")},
+    "counterexample": make_counterexample,
+    "counterexample-0.5": lambda: make_counterexample(0.5),
+    "linear-cap": lambda: instance(composite(SmoothFunction(
+        2, lambda x: float(x[0] + 2 * x[1]), lambda x: np.array([1.0, 2.0]))), [0.0, 0.0]),
+    # f'(y) = 1 + c y: the product is c alpha, so c picks the direction and how
+    # far the factor-10 steps go before one lands in the window or leaps past it
+    **{f"curvature-{c:g}": _one_dim(lambda y, c=c: 1.0 + c * y)
+       for c in (1e-9, 3e-3, 0.3, 1.0, 3.0, 300.0, 1e300)},
+    "leap-up-then-bisection-fails": _kinked(0.01, 1.0, 3.0),
+    "leap-down-then-bisection-fails": _kinked(1.0, 100.0, 0.3),
+    "nan-products": _one_dim(lambda y: 1.0 if y == 0.0 else math.nan),
+    "infinite-gradient": _one_dim(lambda y: math.inf),
+}
+
+
+def _alpha0_outcome(search, make):
+    """(alpha0 or the error raised, the events) of ``search`` on a fresh ``make()``."""
+    inst = make()
+    events = []
+    g0 = inst.composite.f.gradient(np.array(inst.x0, dtype=np.float64))
+    try:
+        with np.errstate(all="ignore"):   # the inf and nan cases
+            result = search(inst.composite, inst.x0, g0, events.append)
+    except (NumericalError, StationaryStart) as exc:
+        result = (type(exc), str(exc))
+    return result, events
+
+
+@pytest.mark.parametrize("case", ALPHA0_CASES)
+def test_alpha0_single_loop_matches_two_loop_search(case):
+    new, new_events = _alpha0_outcome(_alpha0_search, ALPHA0_CASES[case])
+    old, old_events = _alpha0_outcome(two_loop_alpha0_search, ALPHA0_CASES[case])
+    assert new == old
+    assert new_events == old_events
+    assert new_events   # every search probes at least once
 
 
 # ---------------------------------------------------------------------------
