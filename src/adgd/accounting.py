@@ -13,16 +13,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-COUNTER_FIELDS = (
-    "grad_evals",
-    "func_evals",
-    "prox_evals",
-    "svd_count",
-    "eig_count",
-    "projection_count",
-    "reused_evals",
-)
-
 
 @dataclass
 class Counters:
@@ -34,65 +24,62 @@ class Counters:
     projection_count: int = 0
     reused_evals: int = 0
 
-    def bump(self, increments: dict) -> None:
-        # the instance dict holds exactly the counter fields, so the lookup
-        # itself rejects an unknown name
-        counts = self.__dict__
-        try:
-            for name, step in increments.items():
-                counts[name] += step
-        except KeyError as exc:
-            raise ValueError(f"unknown counter field {exc.args[0]!r}") from None
-
     def snapshot(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        # the instance dict holds exactly the fields, in declaration order
+        return tuple(self.__dict__.values())
 
 
-def apply_event(counters: Counters, cost_model: dict, event: str) -> None:
-    """Apply one oracle event ("value" | "gradient" | "prox" | "reuse")."""
-    if event == "reuse":
-        counters.bump({"reused_evals": 1})
-        return
-    if event not in cost_model:
+COUNTER_FIELDS = tuple(f.name for f in fields(Counters))
+
+# the counter each oracle event adds one to; a prox also adds its ProxFriendly.cost
+EVENT_COUNTERS = {"value": "func_evals", "gradient": "grad_evals",
+                  "prox": "prox_evals", "reuse": "reused_evals"}
+
+
+def apply_event(counters: Counters, cost: dict, event: str) -> None:
+    """Count one oracle event ("value" | "gradient" | "prox" | "reuse"); ``cost``
+    is the prox part's ``ProxFriendly.cost``."""
+    if event not in EVENT_COUNTERS:
         raise ValueError(f"unknown event kind {event!r}")
-    counters.bump(cost_model[event])
+    counts = counters.__dict__   # exactly the counter fields: a lookup rejects any other
+    try:
+        counts[EVENT_COUNTERS[event]] += 1
+        if event == "prox":
+            for name, step in cost.items():
+                counts[name] += step
+    except KeyError as exc:
+        raise ValueError(f"unknown counter field {exc.args[0]!r}") from None
 
 
-# (metric name, weights) per problem kind; weights apply to
-# (grad_evals, func_evals - reused_evals, prox-related count)
+def _weights(**by_counter) -> np.ndarray:
+    return np.array([float(by_counter.get(name, 0)) for name in COUNTER_FIELDS])
+
+
+# (metric name, one weight per counter) per problem kind: a linesearch's
+# accepted evaluation is discounted by its reuse
 _ESSENTIAL = {
-    "mle": ("projections", None),
-    "curve": ("projections", None),
-    "lrmc": ("svds", None),
-    "nmf": ("matmul_units", 3.0),
-    "dual_entropy": ("matvec_units", 2.0),
+    "mle": ("projections", _weights(projection_count=1)),
+    "curve": ("projections", _weights(projection_count=1)),
+    "lrmc": ("svds", _weights(svd_count=1)),
+    "nmf": ("matmul_units", _weights(grad_evals=3, func_evals=1, reused_evals=-1)),
+    "dual_entropy": ("matvec_units", _weights(grad_evals=2, func_evals=1, reused_evals=-1)),
 }
+_ORACLE_CALLS = ("oracle_calls", _weights(grad_evals=1, func_evals=1, reused_evals=-1))
 
 
 def essential_metric_name(kind: str) -> str:
-    return _ESSENTIAL.get(kind, ("oracle_calls", None))[0]
+    return _ESSENTIAL.get(kind, _ORACLE_CALLS)[0]
 
 
 def essential_units(kind: str, counters) -> float:
-    """Problem-specific essential-operation total.
-
-    Accepts a Counters or any object with the counter attributes.
-    """
+    """Problem-specific essential-operation total of a Counters or any object
+    with the counter attributes."""
     row = [getattr(counters, name) for name in COUNTER_FIELDS]
     return float(essential_units_rows(kind, row)[0])
 
 
 def essential_units_rows(kind: str, counter_rows) -> np.ndarray:
-    """Essential-operation totals of (n, 7) counter snapshots, one per row."""
+    """Essential-operation totals of (n, 7) counter snapshots, one per row.
+    Counts below 2**53 make every total exact."""
     rows = np.asarray(counter_rows, dtype=np.float64).reshape(-1, len(COUNTER_FIELDS))
-    grad, func, proj = rows[:, 0], rows[:, 1], rows[:, 5]
-    svd, reused = rows[:, 3], rows[:, 6]
-    name, grad_weight = _ESSENTIAL.get(kind, ("oracle_calls", None))
-    if name == "projections":
-        return proj
-    if name == "svds":
-        return svd
-    net = func - reused
-    if grad_weight is not None:
-        return grad_weight * grad + net
-    return grad + net
+    return rows @ _ESSENTIAL.get(kind, _ORACLE_CALLS)[1]

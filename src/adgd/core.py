@@ -49,7 +49,7 @@ class ProxFriendly:
 
     ``value`` may return ``+inf`` (indicator functions); ``prox`` must return
     a point where ``value`` is finite.  ``cost`` lists the counter increments
-    one prox call incurs beyond the call itself (e.g. one eigendecomposition).
+    one prox call incurs beyond ``prox_evals`` (e.g. one eigendecomposition).
     """
 
     value: Callable[[np.ndarray], float]
@@ -65,15 +65,11 @@ def zero_prox_friendly() -> ProxFriendly:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """Objective ``F = f + g`` with an essential-operation cost model.
-
-    ``cost_model`` maps each oracle call kind ("value", "gradient", "prox")
-    to the counter increments it triggers; see :mod:`adgd.accounting`.
-    """
+    """Objective ``F = f + g``; what each oracle call counts is in
+    :mod:`adgd.accounting`."""
 
     f: SmoothFunction
     g: ProxFriendly
-    cost_model: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -86,14 +82,7 @@ class CompositeProblem:
 
 def composite(f: SmoothFunction, g: Optional[ProxFriendly] = None) -> CompositeProblem:
     """Assemble a composite problem, defaulting g to the zero function."""
-    if g is None:
-        g = zero_prox_friendly()
-    cost_model = {
-        "value": {"func_evals": 1},
-        "gradient": {"grad_evals": 1},
-        "prox": {"prox_evals": 1, **g.cost},
-    }
-    return CompositeProblem(f=f, g=g, cost_model=cost_model)
+    return CompositeProblem(f=f, g=zero_prox_friendly() if g is None else g)
 
 
 @dataclass(frozen=True)

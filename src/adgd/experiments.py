@@ -53,10 +53,11 @@ class ConfigError(ValueError):
 # Rule (de)serialization
 # ---------------------------------------------------------------------------
 
-def rule_from_dict(d: dict, where: str = "a rule dict"):
-    """The rule of a ``rule_to_dict`` dict, with the checks of a [run.*] section."""
+def rule_from_dict(d: dict, where: str = "a rule dict", problem: Optional[str] = None):
+    """The rule of a ``rule_to_dict`` dict, with the checks of a [run.*] section;
+    with ``problem``, also the checks of its pairing with that problem kind."""
     params = {key: (value, None) for key, value in d.items() if key != "kind"}
-    return _parse_rule(where, None, d.get("kind"), None, params)
+    return _parse_rule(where, None, d.get("kind"), None, params, problem)
 
 
 def rule_to_dict(rule) -> dict:
@@ -131,9 +132,11 @@ def _parse_sections(text: str):
 
 def _want_float(value, lineno, key):
     try:
-        return float(value)
+        if not isinstance(value, bool):   # a JSON true is no number
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}", lineno)
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}", lineno)
 
 
 def _want_int(value, lineno, key, minimum):
@@ -203,12 +206,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[{name}] is missing a rule", lineno)
             if problem is None:
                 raise ConfigError(f"[{name}] is missing a problem", lineno)
-            if problem not in MAKERS:
-                raise ConfigError(f"unknown problem {problem!r}", items["problem"][1])
-            rule = _parse_rule(f"[{name}]", lineno, rule_kind, rule_ln, params)
-            if problem in EXPERIMENT_KINDS and not rule.prox_ok:  # they have a prox part
-                raise ConfigError(f"rule {rule_kind!r} in [{name}] is not valid for "
-                                  f"problem {problem!r}, which has a prox part", lineno)
+            rule = _parse_rule(f"[{name}]", lineno, rule_kind, rule_ln, params,
+                               problem, items["problem"][1])
             runs.append(RunSpec(run_name, problem, rule))
         else:
             raise ConfigError(f"unknown section [{name}]", lineno)
@@ -218,9 +217,12 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _parse_rule(where, lineno, kind, kind_ln, params):
+def _parse_rule(where, lineno, kind, kind_ln, params, problem=None, problem_ln=None):
     """The rule of a [run.*] section or a ``meta.json`` cell, named by ``where``;
-    ``params`` maps key -> (value, line)."""
+    ``params`` maps key -> (value, line).  A ``problem`` kind must be known and
+    have no prox part unless the rule takes one."""
+    if problem is not None and problem not in MAKERS:
+        raise ConfigError(f"unknown problem {problem!r} in {where}", problem_ln)
     cls = RULES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown rule kind {kind!r} in {where}", kind_ln)
@@ -237,9 +239,13 @@ def _parse_rule(where, lineno, kind, kind_ln, params):
         if not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be a finite number, got {value!r}", ln)
     try:
-        return cls(**values)
+        rule = cls(**values)
     except ValueError:  # the rules reject invalid parameters
         raise ConfigError(f"rule {kind!r} with params {sorted(values)} is invalid", lineno)
+    if problem in EXPERIMENT_KINDS and not rule.prox_ok:  # they have a prox part
+        raise ConfigError(f"rule {kind!r} in {where} is not valid for "
+                          f"problem {problem!r}, which has a prox part", lineno)
+    return rule
 
 
 def load_config(path) -> ExperimentConfig:
@@ -505,9 +511,8 @@ def read_meta(run_dir) -> dict:
         if meta["reference"] not in ("auto", "none"):
             raise ConfigError(f"reference must be auto or none in {path}")
         for i, cell in enumerate(meta["cells"]):
-            rule_from_dict(cell["rule"], f"cell {i} of {path}")
-            if cell["problem"]["kind"] not in MAKERS:
-                raise ConfigError(f"unknown problem in cell {i} of {path}")
+            # str: a null or non-string kind is reported as an unknown problem too
+            rule_from_dict(cell["rule"], f"cell {i} of {path}", str(cell["problem"]["kind"]))
             if not (path.parent / cell["csv"]).is_file():
                 raise ConfigError(f"missing CSV {cell['csv']!r} of cell {i} of {path}")
     except ConfigError:

@@ -25,7 +25,6 @@ from .prox import (
     affine_indicator,
     nonneg_indicator,
     nuclear_ball_indicator,
-    project_affine,
 )
 
 # piecewise objective: quadratic bowl glued C^1 onto two near-linear tails
@@ -338,14 +337,7 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
     if m > n:
         raise ValueError("require m <= n")
     rng = np.random.default_rng(seed)
-    A = None
-    for _ in range(10):
-        cand = rng.normal(size=(m, n))
-        if np.linalg.matrix_rank(cand) == m:
-            A = cand
-            break
-    if A is None:
-        raise NumericalError("could not draw a full-row-rank constraint matrix")
+    A = rng.normal(size=(m, n))   # full row rank almost surely; affine_pinv checks
     w = rng.normal(size=n)
     b = A @ w
     _freeze(A, b)
@@ -370,11 +362,10 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
         name=f"curve(m={m},n={n})",
     )
     g = affine_indicator(A, b)
-    x0 = project_affine(np.zeros(n), A, b)
     return ProblemInstance(
         kind="curve",
         composite=composite(f, g),
-        x0=x0,
+        x0=g.prox(1.0, np.zeros(n)),
         generator_seed=seed,
         metadata={"m": m, "n": n},
         sample_point=lambda rng: rng.normal(size=n),

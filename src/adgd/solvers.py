@@ -406,14 +406,15 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         raise TypeError(f"rule {rule!r} is not valid for this problem")
 
     counters = Counters()
-    cost_model = comp.cost_model
+    cost = comp.g.cost
 
     def on_event(kind):
-        apply_event(counters, cost_model, kind)
+        apply_event(counters, cost, kind)
 
     x0 = np.array(problem.x0, dtype=np.float64)
     comp.f.check_dim(x0)
-    if comp.g.value(x0) == np.inf:
+    g_x0 = comp.g.value(x0)   # one evaluation serves the domain test and F(x^0)
+    if g_x0 == np.inf:
         raise ValueError("starting point is not in the domain of g")
 
     linesearch = rule.linesearch
@@ -431,7 +432,8 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         alpha0 = float(config.alpha0)
 
     trace = Trace(rule=rule, prox_run=prox_run, alpha0=alpha0, alpha0_searched=searched,
-                  F_initial=evaluate_composite(comp, x0, f_val=f_curr))
+                  F_initial=float(comp.f.value(x0) if f_curr is None else f_curr)
+                  + float(g_x0))
 
     steps, crows, xs, grads = [], [], [], []   # steps: (alpha, theta, L, step_norm, F)
     record = config.record_trace

@@ -467,3 +467,30 @@ def two_loop_alpha0_search(comp, x0, g0, on_event):
             return bisect(nxt, alpha)
         alpha = nxt
     raise NumericalError("initial stepsize search failed to terminate")
+
+
+# per problem kind: (metric name, gradient weight or None for a named column)
+_LADDER = {
+    "mle": ("projections", None),
+    "curve": ("projections", None),
+    "lrmc": ("svds", None),
+    "nmf": ("matmul_units", 3.0),
+    "dual_entropy": ("matvec_units", 2.0),
+}
+
+
+def ladder_essential_units_rows(kind: str, counter_rows) -> np.ndarray:
+    """Essential-operation totals of (n, 7) counter rows, picked by metric name
+    and column index: the reference for the weight rows of
+    ``adgd.accounting.essential_units_rows``."""
+    rows = np.asarray(counter_rows, dtype=np.float64).reshape(-1, 7)
+    grad, func, svd, proj, reused = rows[:, 0], rows[:, 1], rows[:, 3], rows[:, 5], rows[:, 6]
+    name, grad_weight = _LADDER.get(kind, ("oracle_calls", None))
+    if name == "projections":
+        return proj
+    if name == "svds":
+        return svd
+    net = func - reused
+    if grad_weight is not None:
+        return grad_weight * grad + net
+    return grad + net

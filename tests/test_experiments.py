@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgd.accounting import Counters, apply_event, essential_units
+from adgd.accounting import (COUNTER_FIELDS, Counters, apply_event, essential_units,
+                              essential_units_rows)
 from adgd.experiments import (
     CSV_COUNTER_FIELDS,
     CSV_HEADER,
@@ -31,6 +32,7 @@ import adgd
 from adgd.core import evaluate_composite
 from adgd.problems import (
     EXPERIMENT_KINDS,
+    MAKERS,
     make_counterexample,
     make_least_squares,
     make_min_curve,
@@ -43,6 +45,8 @@ from adgd.problems import (
 from adgd.reference import make_reference, reference_path
 from adgd.solvers import (RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD, RunConfig,
                           run_solver)
+
+from oracles import ladder_essential_units_rows
 
 GOOD_CONFIG = """
 # minimal experiment
@@ -231,15 +235,12 @@ def test_rule_dicts_get_the_config_checks(d):
 # essential-operation accounting
 # ---------------------------------------------------------------------------
 
-PLAIN_COSTS = {"value": {"func_evals": 1}, "gradient": {"grad_evals": 1},
-               "prox": {"prox_evals": 1}}
-
-
-def replay(events, cost_model=PLAIN_COSTS) -> Counters:
-    """Counters after ``apply_event`` of each event, as a run counts them."""
+def replay(events, cost=None) -> Counters:
+    """Counters after ``apply_event`` of each event, as a run whose prox part
+    costs ``cost`` (``ProxFriendly.cost``) per call counts them."""
     counters = Counters()
     for event in events:
-        apply_event(counters, cost_model, event)
+        apply_event(counters, cost or {}, event)
     return counters
 
 
@@ -252,17 +253,13 @@ def test_count_essential_nmf_linesearch_iteration():
 
 
 def test_count_essential_lrmc_adaptive_iteration():
-    cost_model = {"value": {"func_evals": 1}, "gradient": {"grad_evals": 1},
-                  "prox": {"prox_evals": 1, "svd_count": 1, "projection_count": 1}}
-    c = replay(["prox", "gradient"], cost_model)
+    c = replay(["prox", "gradient"], {"svd_count": 1, "projection_count": 1})
     assert c.svd_count == 1
     assert essential_units("lrmc", c) == 1.0
 
 
 def test_count_essential_mle_two_trials():
-    cost_model = {"value": {"func_evals": 1}, "gradient": {"grad_evals": 1},
-                  "prox": {"prox_evals": 1, "eig_count": 1, "projection_count": 1}}
-    c = replay(["prox", "value", "prox", "value"], cost_model)
+    c = replay(["prox", "value", "prox", "value"], {"eig_count": 1, "projection_count": 1})
     assert c.eig_count == 2 and c.projection_count == 2
     assert essential_units("mle", c) == 2.0
 
@@ -271,13 +268,35 @@ def test_unknown_event_rejected():
     with pytest.raises(ValueError):
         replay(["teleport"])
     with pytest.raises(ValueError):
-        apply_event(Counters(), {"value": {"no_such_counter": 1}}, "value")
+        apply_event(Counters(), {"no_such_counter": 1}, "prox")
 
 
 def test_dual_entropy_metric_weights():
     c = Counters(grad_evals=4, func_evals=3, reused_evals=2)
     assert essential_units("dual_entropy", c) == 2 * 4 + 1
     assert essential_units("quadratic", c) == 4 + 1
+
+
+@pytest.mark.parametrize("kind", [*MAKERS, "no_such_kind"])
+def test_weight_rows_match_the_metric_ladder_bit_for_bit(kind):
+    rng = np.random.default_rng(len(kind))
+    rows = rng.integers(0, 10**6, size=(200, len(COUNTER_FIELDS)))
+    rows[::7] = 0   # all-zero rows: a -0.0 total would differ from the ladder's 0.0
+    rows[1::7, 6] = rows[1::7, 1]   # every evaluation reused
+    got = essential_units_rows(kind, rows)
+    want = ladder_essential_units_rows(kind, rows)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, essential_units(kind, Counters())) == 1.0   # +0.0
+
+
+def test_snapshot_is_in_counter_fields_order():
+    c = Counters(**{name: i + 1 for i, name in enumerate(COUNTER_FIELDS)})
+    assert c.snapshot() == tuple(getattr(c, name) for name in COUNTER_FIELDS)
+    apply_event(c, {"svd_count": 2}, "prox")
+    apply_event(c, {}, "reuse")
+    assert c.snapshot() == (1, 2, 4, 6, 5, 6, 8)
+    assert Counters().snapshot() == (0,) * len(COUNTER_FIELDS)
+    assert COUNTER_FIELDS == tuple(f.name for f in dataclasses.fields(Counters))
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +601,12 @@ def _with_meta(change):
                  id="rule its class rejects"),
     pytest.param(_with_cell(lambda cell: cell["problem"].update(kind="banana")),
                  id="unknown problem kind"),
+    pytest.param(_with_cell(lambda cell: cell["problem"].update(kind=None)),
+                 id="problem kind null"),
+    pytest.param(_with_cell(lambda cell: cell.update(rule={"kind": "adgd1"})),
+                 id="rule without prox on a prox problem"),
+    pytest.param(_with_cell(lambda cell: cell.update(rule={"kind": "fixed", "alpha": True})),
+                 id="rule parameter true"),
     pytest.param(_with_meta(lambda meta: meta.update(max_iter="abc")), id="max_iter abc"),
     pytest.param(_with_meta(lambda meta: meta.update(max_iter=0)), id="max_iter 0"),
     pytest.param(_with_meta(lambda meta: meta.update(max_iter=1.5)), id="max_iter 1.5"),

@@ -26,6 +26,7 @@ from adgd.problems import (
     make_quadratic,
     make_quartic,
 )
+from adgd.prox import project_affine
 from adgd.solvers import AdGD2, BadGD, RunConfig, run_solver
 
 from oracles import finite_difference_gradient
@@ -234,6 +235,37 @@ def test_curve_objective_floor():
     for _ in range(20):
         x = rng.normal(size=30)
         assert inst.composite.f.value(x) >= 30 - 1
+
+
+def test_curve_build_takes_one_qr(monkeypatch):
+    calls = {}
+
+    def count(name):
+        decompose = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return decompose(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    count("qr")
+    count("matrix_rank")
+    inst = make_min_curve(3, 20, 100)
+    assert calls == {"qr": 1}   # A^+ serves the prox and x^0
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(20, 100))
+    b = A @ rng.normal(size=100)
+    assert np.array_equal(inst.x0, project_affine(np.zeros(100), A, b))
+
+
+def test_curve_rank_deficient_draw_raises(monkeypatch):
+    class Ones:
+        def normal(self, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Ones())
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        make_min_curve(1, 3, 6)
 
 
 def test_curve_run_stays_feasible():

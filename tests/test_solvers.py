@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -584,6 +585,33 @@ def test_run_rejects_infeasible_start():
 
     with pytest.raises(ValueError):
         run_solver(Inst(), AdGD2(), RunConfig(max_iter=10, grad_tol=1e-10, alpha0=1.0))
+
+
+@pytest.mark.parametrize("rule", [AdGD2(), Armijo(1.2, 0.5)], ids=["adgd2", "armijo"])
+@pytest.mark.parametrize("kind, decomposition", [("mle", "eigvalsh"), ("lrmc", "svd")])
+def test_run_evaluates_f_and_g_once_at_x0(kind, decomposition, rule, monkeypatch):
+    # the domain test and F(x^0) share one g(x^0), which decomposes x^0 (no
+    # prox output); under a linesearch F(x^0) takes the counted f(x^0)
+    inst = make_problem(kind, 1)
+    comp = inst.composite
+    at_x0 = {"f": 0, "g": 0}
+
+    def counted(name, value):
+        def wrapped(x):
+            at_x0[name] += np.array_equal(x, inst.x0)
+            return value(x)
+        return wrapped
+
+    twin = dataclasses.replace(inst, composite=dataclasses.replace(
+        comp, f=dataclasses.replace(comp.f, value=counted("f", comp.f.value)),
+        g=dataclasses.replace(comp.g, value=counted("g", comp.g.value))))
+    calls = []
+    decompose = getattr(np.linalg, decomposition)
+    monkeypatch.setattr(np.linalg, decomposition,
+                        lambda *a, **kw: calls.append(a) or decompose(*a, **kw))
+    trace = run_solver(twin, rule, RunConfig(max_iter=30, grad_tol=1e-12))
+    assert at_x0 == {"f": 1, "g": 1}
+    assert len(calls) - trace.counters.svd_count == 1   # the prox counts its SVDs
 
 
 def test_run_rejects_wrong_rule_for_prox():
