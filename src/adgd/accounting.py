@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .problems import KINDS
+
 
 @dataclass
 class Counters:
@@ -55,20 +57,20 @@ def _weights(**by_counter) -> np.ndarray:
     return np.array([float(by_counter.get(name, 0)) for name in COUNTER_FIELDS])
 
 
-# (metric name, one weight per counter) per problem kind: a linesearch's
+# one weight per counter for each essential-operation metric; a linesearch's
 # accepted evaluation is discounted by its reuse
-_ESSENTIAL = {
-    "mle": ("projections", _weights(projection_count=1)),
-    "curve": ("projections", _weights(projection_count=1)),
-    "lrmc": ("svds", _weights(svd_count=1)),
-    "nmf": ("matmul_units", _weights(grad_evals=3, func_evals=1, reused_evals=-1)),
-    "dual_entropy": ("matvec_units", _weights(grad_evals=2, func_evals=1, reused_evals=-1)),
+METRICS = {
+    "projections": _weights(projection_count=1),
+    "svds": _weights(svd_count=1),
+    "matmul_units": _weights(grad_evals=3, func_evals=1, reused_evals=-1),
+    "matvec_units": _weights(grad_evals=2, func_evals=1, reused_evals=-1),
+    "oracle_calls": _weights(grad_evals=1, func_evals=1, reused_evals=-1),
 }
-_ORACLE_CALLS = ("oracle_calls", _weights(grad_evals=1, func_evals=1, reused_evals=-1))
 
 
 def essential_metric_name(kind: str) -> str:
-    return _ESSENTIAL.get(kind, _ORACLE_CALLS)[0]
+    """The metric problem ``kind`` is compared by; an unknown kind counts oracle calls."""
+    return KINDS[kind].metric if kind in KINDS else "oracle_calls"
 
 
 def essential_units(kind: str, counters) -> float:
@@ -82,4 +84,4 @@ def essential_units_rows(kind: str, counter_rows) -> np.ndarray:
     """Essential-operation totals of (n, 7) counter snapshots, one per row.
     Counts below 2**53 make every total exact."""
     rows = np.asarray(counter_rows, dtype=np.float64).reshape(-1, len(COUNTER_FIELDS))
-    return rows @ _ESSENTIAL.get(kind, _ORACLE_CALLS)[1]
+    return rows @ METRICS[essential_metric_name(kind)]

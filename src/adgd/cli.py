@@ -1,17 +1,16 @@
 """Command-line front end.
 
-Subcommands: generate (emit a problem container), run (execute a config),
-check (certify stored traces), plot (SVGs from stored traces), reference
-(build or refresh a cached reference solution).
+Subcommands: run (execute a config), check (certify stored traces), plot
+(SVGs from stored traces), reference (build or refresh a cached reference
+solution).
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 diagnostics
-failure under check.
+Exit codes: 0 success, 2 config error or a file that cannot be read or
+written, 3 numerical failure, 4 diagnostics failure under check.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .experiments import (
     run_and_check,
     run_experiment,
 )
-from .problems import MAKERS, instance_descriptor, make_problem
+from .problems import KINDS, make_problem
 from .reference import make_reference, reference_path
 from .solvers import LinesearchStalled
 
@@ -49,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a regenerable problem container")
-    g.add_argument("--problem", required=True, choices=sorted(MAKERS))
-    g.add_argument("--seed", type=_seed, default=1)
-    _scale_flags(g)
-    g.add_argument("--out", required=True, help="output JSON path")
-
     r = sub.add_parser("run", help="run the experiment matrix from a config")
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the config output directory")
@@ -70,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--run", required=True)
 
     rf = sub.add_parser("reference", help="compute or refresh a cached reference")
-    rf.add_argument("--problem", required=True, choices=sorted(MAKERS))
+    rf.add_argument("--problem", required=True, choices=sorted(KINDS))
     rf.add_argument("--seed", type=_seed, default=1)
     _scale_flags(rf)
     rf.add_argument("--cache", required=True, help="reference cache directory")
@@ -97,21 +90,8 @@ def _say(text: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            inst = make_problem(args.problem, args.seed, args.scale)
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.out).write_text(
-                json.dumps(instance_descriptor(inst), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-            _say(f"wrote {args.out} ({inst.label}, dim={inst.dimension})")
-            return EXIT_OK
-
         if args.command == "run":
-            try:
-                config = load_config(args.config)
-            except (ConfigError, OSError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            config = load_config(args.config)
             if args.out is not None:
                 config.out = Path(args.out)
             if args.seed is not None:
@@ -135,6 +115,7 @@ def main(argv=None) -> int:
 
         if args.command == "reference":
             inst = make_problem(args.problem, args.seed, args.scale)
+            Path(args.cache).mkdir(parents=True, exist_ok=True)   # fail before a solve
             ref = make_reference(inst, args.cache, force=args.force)
             _say(f"{inst.label}: F_ref={ref.F_star!r} tol={ref.tolerance:g}")
             _say(f"  provenance: {ref.provenance}")
@@ -143,7 +124,7 @@ def main(argv=None) -> int:
     except (NumericalError, LinesearchStalled) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -24,7 +24,8 @@ from .core import process_map
 from .diagnostics import run_certificates
 from .problems import (
     EXPERIMENT_KINDS,
-    MAKERS,
+    KINDS,
+    SCALE_NAMES,
     ProblemInstance,
     instance_descriptor,
     instance_from_descriptor,
@@ -172,13 +173,13 @@ def parse_config(text: str) -> ExperimentConfig:
                     kinds = [p.strip() for p in value.split(",")] \
                         if value != "all" else list(EXPERIMENT_KINDS)
                     for k in kinds:
-                        if k not in MAKERS:
+                        if k not in KINDS:
                             raise ConfigError(f"unknown problem {k!r}", ln)
                     cfg.problems = kinds
                 elif key == "seed":
                     cfg.seed = _want_int(value, ln, key, 0)
                 elif key == "scale":
-                    if value not in ("desk", "paper"):
+                    if value not in SCALE_NAMES:
                         raise ConfigError("scale must be desk or paper", ln)
                     cfg.scale = value
                 elif key == "out":
@@ -221,7 +222,7 @@ def _parse_rule(where, lineno, kind, kind_ln, params, problem=None, problem_ln=N
     """The rule of a [run.*] section or a ``meta.json`` cell, named by ``where``;
     ``params`` maps key -> (value, line).  A ``problem`` kind must be known and
     have no prox part unless the rule takes one."""
-    if problem is not None and problem not in MAKERS:
+    if problem is not None and problem not in KINDS:
         raise ConfigError(f"unknown problem {problem!r} in {where}", problem_ln)
     cls = RULES.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -242,7 +243,7 @@ def _parse_rule(where, lineno, kind, kind_ln, params, problem=None, problem_ln=N
         rule = cls(**values)
     except ValueError:  # the rules reject invalid parameters
         raise ConfigError(f"rule {kind!r} with params {sorted(values)} is invalid", lineno)
-    if problem in EXPERIMENT_KINDS and not rule.prox_ok:  # they have a prox part
+    if problem is not None and KINDS[problem].experiment and not rule.prox_ok:  # they have a prox part
         raise ConfigError(f"rule {kind!r} in {where} is not valid for "
                           f"problem {problem!r}, which has a prox part", lineno)
     return rule

@@ -498,55 +498,46 @@ def make_dual_entropy(seed: int, m: int, n: int) -> ProblemInstance:
 # Registry, scales, serialization
 # ---------------------------------------------------------------------------
 
-MAKERS = {
-    "quadratic": make_quadratic,
-    "least_squares": make_least_squares,
-    "logistic": make_logistic,
-    "quartic": lambda **kw: make_quartic(),
-    "counterexample": lambda x0=12.0, **kw: make_counterexample(x0),
-    "mle": make_mle,
-    "lrmc": make_lrmc,
-    "curve": make_min_curve,
-    "nmf": make_nmf,
-    "dual_entropy": make_dual_entropy,
+@dataclass(frozen=True)
+class Kind:
+    """One problem kind: its maker; the maker arguments of the desk
+    (per-run-under-a-minute) and paper (figure) scales that differ from the
+    maker's defaults; the ``accounting.METRICS`` key it is compared by; and
+    whether the default experiment matrix runs it, as it does every kind with
+    a prox part."""
+
+    make: Callable[..., ProblemInstance]
+    desk: dict = field(default_factory=dict)
+    paper: dict = field(default_factory=dict)
+    metric: str = "oracle_calls"
+    experiment: bool = False
+
+
+KINDS = {
+    "quadratic": Kind(make_quadratic, {"n": 50}, {"n": 200, "condition_number": 1000.0}),
+    "least_squares": Kind(make_least_squares, {"n": 80, "d": 40}, {"n": 500, "d": 200}),
+    "logistic": Kind(make_logistic, {"d": 30}, {"d": 100}),
+    "quartic": Kind(lambda seed: make_quartic()),
+    "counterexample": Kind(lambda seed, x0=12.0: make_counterexample(x0)),
+    "mle": Kind(make_mle, {"n": 50}, {"n": 100}, "projections", True),
+    "lrmc": Kind(make_lrmc, {"n": 60}, {"n": 100, "r": 20}, "svds", True),
+    "curve": Kind(make_min_curve, {"m": 20, "n": 100}, {"m": 50, "n": 200}, "projections", True),
+    "nmf": Kind(make_nmf, {"n": 60}, {"n": 100, "r": 20}, "matmul_units", True),
+    "dual_entropy": Kind(make_dual_entropy, {"m": 100, "n": 50}, {"m": 500, "n": 100},
+                         "matvec_units", True),
 }
 
-EXPERIMENT_KINDS = ("mle", "lrmc", "curve", "nmf", "dual_entropy")
-
-# per-run-under-a-minute sizes vs the figure-scale ones
-SCALES = {
-    "desk": {
-        "quadratic": {"n": 50, "condition_number": 100.0},
-        "least_squares": {"n": 80, "d": 40},
-        "logistic": {"d": 30},
-        "mle": {"n": 50, "l": 0.1, "u": 10.0, "M": 50},
-        "lrmc": {"n": 60, "r": 10, "fraction": 0.2},
-        "curve": {"m": 20, "n": 100},
-        "nmf": {"n": 60, "r": 10},
-        "dual_entropy": {"m": 100, "n": 50},
-    },
-    "paper": {
-        "quadratic": {"n": 200, "condition_number": 1000.0},
-        "least_squares": {"n": 500, "d": 200},
-        "logistic": {"d": 100},
-        "mle": {"n": 100, "l": 0.1, "u": 10.0, "M": 50},
-        "lrmc": {"n": 100, "r": 20, "fraction": 0.2},
-        "curve": {"m": 50, "n": 200},
-        "nmf": {"n": 100, "r": 20},
-        "dual_entropy": {"m": 500, "n": 100},
-    },
-}
+EXPERIMENT_KINDS = tuple(name for name, kind in KINDS.items() if kind.experiment)
+SCALE_NAMES = ("desk", "paper")   # the Kind fields that hold a scale's arguments
 
 
-def make_problem(kind: str, seed: int = 0, scale: str = "desk", **overrides) -> ProblemInstance:
-    """Build a problem by name at a named scale; overrides win over the scale."""
-    if kind not in MAKERS:
+def make_problem(kind: str, seed: int = 0, scale: str = "desk") -> ProblemInstance:
+    """Build a problem by name at a named scale."""
+    if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    if scale not in SCALES:
+    if scale not in SCALE_NAMES:
         raise ValueError(f"unknown scale {scale!r}")
-    params = dict(SCALES[scale].get(kind, {}))
-    params.update(overrides)
-    return MAKERS[kind](seed=seed, **params)
+    return KINDS[kind].make(seed=seed, **getattr(KINDS[kind], scale))
 
 
 def instance_descriptor(inst: ProblemInstance) -> dict:
@@ -562,4 +553,4 @@ def instance_descriptor(inst: ProblemInstance) -> dict:
 def instance_from_descriptor(desc: dict) -> ProblemInstance:
     if desc.get("format") != "adgd-problem-v1":
         raise ValueError("unrecognized problem container format")
-    return MAKERS[desc["kind"]](seed=desc["seed"], **desc.get("params", {}))
+    return KINDS[desc["kind"]].make(seed=desc["seed"], **desc.get("params", {}))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import Optional
 
@@ -73,20 +74,22 @@ def cached_reference(inst: ProblemInstance, cache_dir,
                      grad_tol: float = REFERENCE_GRAD_TOL,
                      max_iter: int = REFERENCE_MAX_ITER) -> Optional[ReferenceSolution]:
     """The reference cached for ``inst`` under these settings, or None when
-    there is no file or the file was built under other settings."""
+    there is no file, the file cannot be read, or it was built under other
+    settings."""
     path = reference_path(cache_dir, inst, grad_tol, max_iter)
-    if not path.exists():
-        return None
-    with np.load(path) as data:
-        if ("settings" not in data.files
-                or str(data["settings"]) != _cache_settings(inst, grad_tol, max_iter)):
-            return None
-        return ReferenceSolution(
-            x_star=np.array(data["x_star"]),
-            F_star=float(data["F_star"]),
-            tolerance=float(data["tolerance"]),
-            provenance=str(data["provenance"]),
-        )
+    try:
+        with np.load(path) as data:
+            if ("settings" not in data.files
+                    or str(data["settings"]) != _cache_settings(inst, grad_tol, max_iter)):
+                return None
+            return ReferenceSolution(
+                x_star=np.array(data["x_star"]),
+                F_star=float(data["F_star"]),
+                tolerance=float(data["tolerance"]),
+                provenance=str(data["provenance"]),
+            )
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile):
+        return None   # missing, empty, truncated or corrupt: a miss, rebuilt and replaced
 
 
 def _closed_form_reference(inst: ProblemInstance) -> ReferenceSolution:

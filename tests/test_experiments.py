@@ -32,7 +32,7 @@ import adgd
 from adgd.core import evaluate_composite
 from adgd.problems import (
     EXPERIMENT_KINDS,
-    MAKERS,
+    KINDS,
     make_counterexample,
     make_least_squares,
     make_min_curve,
@@ -42,7 +42,7 @@ from adgd.problems import (
     make_quadratic,
     make_quartic,
 )
-from adgd.reference import make_reference, reference_path
+from adgd.reference import cached_reference, make_reference, reference_path
 from adgd.solvers import (RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD, RunConfig,
                           run_solver)
 
@@ -277,7 +277,7 @@ def test_dual_entropy_metric_weights():
     assert essential_units("quadratic", c) == 4 + 1
 
 
-@pytest.mark.parametrize("kind", [*MAKERS, "no_such_kind"])
+@pytest.mark.parametrize("kind", [*KINDS, "no_such_kind"])
 def test_weight_rows_match_the_metric_ladder_bit_for_bit(kind):
     rng = np.random.default_rng(len(kind))
     rows = rng.integers(0, 10**6, size=(200, len(COUNTER_FIELDS)))
@@ -540,19 +540,18 @@ def test_plot_ignores_cache_file_of_other_settings(tmp_path):
     reference_path(cache, inst, grad_tol=1e-6).replace(reference_path(cache, inst))
     plot_run_dir(out)
     assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == without
+    # a truncated file: a miss as well
+    path = reference_path(cache, inst)
+    path.write_bytes(path.read_bytes()[:100])
+    plot_run_dir(out)
+    assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == without
 
 
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
 
-def test_cli_generate_and_config_error(tmp_path):
-    rc = cli_main(["generate", "--problem", "curve", "--seed", "5",
-                   "--out", str(tmp_path / "p.json")])
-    assert rc == 0
-    desc = json.loads((tmp_path / "p.json").read_text())
-    assert desc["kind"] == "curve"
-
+def test_cli_run_rejects_a_bad_config(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nbogus = 1\n")
     assert cli_main(["run", "--config", str(bad)]) == 2
@@ -762,7 +761,6 @@ def test_plot_on_a_malformed_cell_csv_exits_2_and_check_exits_4(two_kinds_run, t
 
 
 @pytest.mark.parametrize("argv", [
-    ["generate", "--problem", "mle", "--out", "g.json"],
     ["run", "--config", "c.ini"],
     ["reference", "--problem", "mle", "--cache", "refs"],
 ])
@@ -778,11 +776,46 @@ def test_cli_seed_must_be_nonnegative_integer(tmp_path, monkeypatch, capsys, arg
 
 
 def test_cli_scale_flag_changes_sizes(tmp_path):
-    rc = cli_main(["generate", "--problem", "mle", "--seed", "1", "--paper-scale",
-                   "--out", str(tmp_path / "big.json")])
-    assert rc == 0
-    desc = json.loads((tmp_path / "big.json").read_text())
-    assert desc["params"]["n"] == 100
+    cfg = tmp_path / "one.ini"
+    cfg.write_text("[experiment]\nmax_iter = 1\nreference = none\nplot = no\n\n"
+                   "[run.mle]\nproblem = mle\nrule = adproxgd\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "big"),
+                     "--paper-scale"]) == 0
+    meta = json.loads((tmp_path / "big" / "meta.json").read_text())
+    assert [cell["problem"]["params"]["n"] for cell in meta["cells"]] == [100]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.ini", "--out", "taken"],
+    ["reference", "--problem", "mle", "--cache", "taken"],
+])
+def test_cli_output_path_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text("[experiment]\nproblem = mle\nmax_iter = 1\n"
+                                    "reference = none\nplot = no\n")
+    (tmp_path / "taken").write_text("a file\n")
+    monkeypatch.setattr("adgd.cli.make_reference",
+                        lambda *args, **kwargs: pytest.fail("solved before the path failed"))
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("corrupt", [lambda data: data[:100], lambda data: b"",
+                                     lambda data: b"not an npz file\n"],
+                         ids=["truncated", "empty", "garbage"])
+def test_cli_reference_rebuilds_a_corrupt_cache_file(tmp_path, corrupt):
+    argv = ["reference", "--problem", "mle", "--seed", "1", "--cache", str(tmp_path)]
+    assert cli_main(argv) == 0
+    inst = make_problem("mle", 1)
+    path = reference_path(tmp_path, inst)
+    F_star = cached_reference(inst, tmp_path).F_star
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert cached_reference(inst, tmp_path) is None
+    assert cli_main(argv) == 0
+    assert cached_reference(inst, tmp_path).F_star == F_star
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp file left
 
 
 BLAS_CELLS = """
@@ -839,9 +872,9 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
 NO_SCIPY_SCRIPT = """
 import sys
 import adgd.cli
-from adgd.problems import MAKERS, make_problem
+from adgd.problems import KINDS, make_problem
 for scale in ("desk", "paper"):
-    for kind in MAKERS:
+    for kind in KINDS:
         inst = make_problem(kind, 1, scale)
         inst.composite.f.value(inst.x0)
         inst.composite.g.prox(1.0, inst.x0 + inst.composite.f.gradient(inst.x0))

@@ -8,7 +8,7 @@ from scipy.special import expit, logsumexp
 from adgd.core import NumericalError
 from adgd.problems import (
     EXPERIMENT_KINDS,
-    MAKERS,
+    KINDS,
     _logsumexp,
     _sigmoid,
     counterexample_f,
@@ -26,6 +26,7 @@ from adgd.problems import (
     make_quadratic,
     make_quartic,
 )
+from adgd.accounting import METRICS
 from adgd.prox import project_affine
 from adgd.solvers import AdGD2, BadGD, RunConfig, run_solver
 
@@ -362,10 +363,33 @@ def test_dual_entropy_exponent_overflow_raises():
         inst.composite.f.gradient(x)
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+# each kind's maker arguments at (desk, paper) scale, defaults included: a
+# changed maker default must not silently change a scale
+SCALE_PARAMS = {
+    "quadratic": ({"n": 50, "condition_number": 100.0},
+                  {"n": 200, "condition_number": 1000.0}),
+    "least_squares": ({"n": 80, "d": 40}, {"n": 500, "d": 200}),
+    "logistic": ({"d": 30}, {"d": 100}),
+    "quartic": ({}, {}),
+    "counterexample": ({"x0": 12.0}, {"x0": 12.0}),
+    "mle": ({"n": 50, "l": 0.1, "u": 10.0, "M": 50}, {"n": 100, "l": 0.1, "u": 10.0, "M": 50}),
+    "lrmc": ({"n": 60, "r": 10, "fraction": 0.2}, {"n": 100, "r": 20, "fraction": 0.2}),
+    "curve": ({"m": 20, "n": 100}, {"m": 50, "n": 200}),
+    "nmf": ({"n": 60, "r": 10, "start_index": 0}, {"n": 100, "r": 20, "start_index": 0}),
+    "dual_entropy": ({"m": 100, "n": 50}, {"m": 500, "n": 100}),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_scales_defined(kind):
-    desk = make_problem(kind, seed=9, scale="desk")
-    assert desk.dimension >= 1
+    assert set(SCALE_PARAMS) == set(KINDS)
+    assert KINDS[kind].metric in METRICS
+    for scale, params in zip(("desk", "paper"), SCALE_PARAMS[kind]):
+        inst = make_problem(kind, seed=9, scale=scale)
+        assert inst.dimension >= 1
+        desc = instance_descriptor(inst)
+        assert (desc["kind"], desc["params"]) == (kind, params)
+        assert all(type(desc["params"][k]) is type(v) for k, v in params.items())
 
 
 @pytest.mark.parametrize("scale", ["Paper", "nonsense", ""])
@@ -376,6 +400,6 @@ def test_make_problem_rejects_an_unknown_scale(scale):
 
 def test_experiment_kinds_are_the_kinds_with_a_prox_part():
     # parse_config rejects rules without prox support on EXPERIMENT_KINDS
-    with_prox = {kind for kind in MAKERS
+    with_prox = {kind for kind in KINDS
                  if make_problem(kind, seed=1, scale="desk").composite.has_prox_part}
     assert with_prox == set(EXPERIMENT_KINDS)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from adgd.accounting import Counters, apply_event
 from adgd.core import NumericalError, SmoothFunction, composite, ProxFriendly
 from adgd.experiments import trace_csv_text
 from adgd.problems import (
@@ -612,6 +613,41 @@ def test_run_evaluates_f_and_g_once_at_x0(kind, decomposition, rule, monkeypatch
     trace = run_solver(twin, rule, RunConfig(max_iter=30, grad_tol=1e-12))
     assert at_x0 == {"f": 1, "g": 1}
     assert len(calls) - trace.counters.svd_count == 1   # the prox counts its SVDs
+
+
+def _step_counts(comp) -> np.ndarray:
+    """What one AdGD1/AdGD2 step counts: a gradient, and with a prox part one
+    prox and that part's cost."""
+    step = Counters(grad_evals=1)
+    if comp.has_prox_part:
+        apply_event(step, comp.g.cost, "prox")
+    return np.array(step.snapshot())
+
+
+def _alpha0_probe_counts(inst) -> np.ndarray:
+    """What the initial stepsize search counts on its own."""
+    comp = inst.composite
+    probes = Counters()
+    _alpha0_search(comp, inst.x0, comp.f.gradient(inst.x0),
+                   lambda event: apply_event(probes, comp.g.cost, event))
+    return np.array(probes.snapshot())
+
+
+def test_adaptive_steps_add_no_computational_cost(pool, pool_traces):
+    """No added computational cost: past row 0, each AdGD2 step on the 20-instance
+    pool and each AdGD1 step on its 15 smooth instances adds exactly one gradient
+    and, with a prox part, one prox and its cost; never an f value or a reuse.
+    Row 0 is the gradient at x0, the alpha0 probes and the first step."""
+    runs = [(inst, pool_traces[id(inst)]) for inst in pool]
+    runs += [(inst, run_solver(inst, AdGD1(), RunConfig(max_iter=300, record_trace=False)))
+             for inst in pool if not inst.composite.has_prox_part]
+    assert len(runs) == 35
+    for inst, trace in runs:
+        step = _step_counts(inst.composite)
+        rows = trace.counter_rows
+        assert len(rows) > 1
+        assert np.array_equal(np.diff(rows, axis=0), np.tile(step, (len(rows) - 1, 1)))
+        assert np.array_equal(rows[0], _alpha0_probe_counts(inst) + step)
 
 
 def test_run_rejects_wrong_rule_for_prox():
