@@ -26,7 +26,6 @@ from .experiments import (
 )
 from .problems import KINDS, make_problem
 from .reference import make_reference, reference_path
-from .solvers import LinesearchStalled
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
             _say(f"  provenance: {ref.provenance}")
             _say(f"  cache: {reference_path(args.cache, inst)}")
             return EXIT_OK
-    except (NumericalError, LinesearchStalled) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, OSError) as exc:   # OSError: an unreadable or unwritable path

@@ -52,7 +52,6 @@ class CertificateReport:
 @dataclass(frozen=True)
 class BreakpointRecord:
     indices: List[int]
-    L_ref: float
     dichotomy_violations: List[int] = field(default_factory=list)
 
     @property
@@ -244,14 +243,13 @@ def detect_breakpoints(trace: Trace, L_ref: Optional[float] = None) -> Breakpoin
         L_ref = trace.max_curvature
     a, th = trace.alphas, trace.thetas
     if L_ref <= 0 or trace.iters < 2:
-        return BreakpointRecord([], L_ref)
+        return BreakpointRecord([])
     is_bp = (th < 1.0 / 3.0) & (a < 1.0 / L_ref)
     is_bp[0] = False
     # per k = 3 .. iters-1
     near = is_bp[2:-1] | ((a[2:-1] < a[3:]) & is_bp[1:-2])
     lonely = (a[3:] < 1.0 / (SQRT2 * L_ref)) & ~near
-    return BreakpointRecord(np.flatnonzero(is_bp).tolist(), L_ref,
-                            (np.flatnonzero(lonely) + 3).tolist())
+    return BreakpointRecord(np.flatnonzero(is_bp).tolist(), (np.flatnonzero(lonely) + 3).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ META_FORMAT = "adgd-run-meta-v1"
 
 class ConfigError(ValueError):
     def __init__(self, message: str, lineno: Optional[int] = None):
-        self.lineno = lineno
         where = f" (line {lineno})" if lineno is not None else ""
         super().__init__(f"config error{where}: {message}")
 
@@ -306,16 +305,14 @@ SUMMARY_HEADER = ("problem,rule,status,iterations,final_F,essential_metric,"
 
 @dataclass
 class CellResult:
-    spec: RunSpec
     instance: ProblemInstance
     trace: Trace
     csv_name: str
 
     def summary_row(self) -> str:
         t = self.trace
-        c = t.counters
-        total = essential_units_rows(self.instance.kind,
-                                     t.counter_rows[-1:])[0] if t.iters else 0.0
+        c = t.counters   # a stalled run's counters include its last, failed search
+        total = essential_units_rows(self.instance.kind, [c.snapshot()])[0]
         cells = [self.instance.kind, t.rule_name, t.status, str(t.iters),
                  repr(float(t.F_final)), essential_metric_name(self.instance.kind),
                  repr(float(total))]
@@ -385,7 +382,7 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     results: List[CellResult] = []
     for spec, csv_name, trace in zip(specs, csv_names, stream):
         write_trace_csv(out / csv_name, trace)
-        results.append(CellResult(spec, instances[spec.problem], trace, csv_name))
+        results.append(CellResult(instances[spec.problem], trace, csv_name))
     if not check:
         stream.close()   # the workers exit now, not after the references and plots
 

@@ -232,8 +232,8 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     last prox output, log det X and X^-1 come from the prox's eigenvalues, and
     the gradient there arms the box's warm start (see ``SpectralBox``).
     """
-    if not (0 < l < u) or M < 1:
-        raise ValueError("require 0 < l < u and M >= 1")
+    if n < 1 or not (0 < l < u) or M < 1:
+        raise ValueError("require n >= 1, 0 < l < u and M >= 1")
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, math.sqrt(10.0), size=n)
     samples = y[None, :] + rng.normal(size=(M, n))
@@ -290,8 +290,8 @@ def make_lrmc(seed: int, n: int, r: int = 10, fraction: float = 0.2) -> ProblemI
     A is an exact rank-r product; Omega samples fraction * n^2 entries
     without replacement.
     """
-    if r < 1 or not (0 < fraction <= 1):
-        raise ValueError("require r >= 1 and fraction in (0, 1]")
+    if n < 1 or r < 1 or not (0 < fraction <= 1):
+        raise ValueError("require n >= 1, r >= 1 and fraction in (0, 1]")
     rng = np.random.default_rng(seed)
     U = rng.normal(size=(n, r))
     V = rng.normal(size=(n, r))
@@ -379,8 +379,8 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
     optimal value zero exactly.  Nonconvex: certificates that rely on
     convexity do not apply.  ``start_index`` varies only the starting point.
     """
-    if r < 1:
-        raise ValueError("require r >= 1")
+    if n < 1 or r < 1:
+        raise ValueError("require n >= 1 and r >= 1")
     rng = np.random.default_rng(seed)
     B = np.maximum(rng.normal(size=(n, r)), 0.0)
     C = np.maximum(rng.normal(size=(n, r)), 0.0)
@@ -450,6 +450,8 @@ def make_dual_entropy(seed: int, m: int, n: int) -> ProblemInstance:
     max + log(sum(exp)) shortcut is avoided because it rounds differently
     on about 1.5% of inputs, which would change the stored traces.
     """
+    if n < 1:
+        raise ValueError("require n >= 1")
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, n))
     w = rng.dirichlet(np.ones(n))

@@ -20,20 +20,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .accounting import Counters, apply_event
+from .accounting import COUNTER_FIELDS, Counters, apply_event
 from .core import NumericalError, evaluate_composite
 
 DIVERGENCE_NORM = 1e10
 ALPHA_CLAMP = 1e308
 MAX_LINESEARCH_TRIALS = 200
-
-
-class LinesearchStalled(RuntimeError):
-    """Backtracking exceeded the trial budget without acceptance."""
-
-
-class StationaryStart(RuntimeError):
-    """The starting point already has zero gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +131,6 @@ class Armijo(StepsizeRule):
     s: float
     r: float
     kind = "armijo"
-    theta0 = 1.0
     prox_ok = True
     linesearch = True
 
@@ -228,6 +219,8 @@ def armijo_search(comp, x, g, alpha_prev: float, s: float, r: float, f_curr: flo
     f_next, ls_evals) where ls_evals counts the trials performed; each trial
     costs one f evaluation (plus one prox when the problem has a prox-friendly
     part), reported to ``on_event``.  The accepted evaluation is the reusable one.
+    When no trial within the budget is accepted, x_next and f_next are None and
+    alpha is the last trial's.
     """
     for i in range(MAX_LINESEARCH_TRIALS + 1):
         alpha = s * (r ** i) * alpha_prev
@@ -236,8 +229,7 @@ def armijo_search(comp, x, g, alpha_prev: float, s: float, r: float, f_curr: flo
         d = y - x
         if f_y <= f_curr + float(g @ d) + float(d @ d) / (2.0 * alpha):
             return alpha, y, f_y, i + 1
-    raise LinesearchStalled(
-        f"no acceptable stepsize within {MAX_LINESEARCH_TRIALS} backtracking trials")
+    return alpha, None, None, MAX_LINESEARCH_TRIALS + 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +248,9 @@ def _alpha0_search(comp, x0, g0, on_event):
     with the candidate alpha0 (through the prox for composite problems).
     Geometric search with factor 10, refined by log-space bisection when a
     factor-10 jump leaps over the target window; returns ``ALPHA0_CAP`` for
-    degenerate problems whose product never reaches the window from below.
+    degenerate problems whose product never reaches the window from below,
+    such as a zero g0 whose trial steps do not move.
     """
-    if float(np.linalg.norm(g0)) == 0.0:
-        raise StationaryStart("gradient at x0 is zero; already stationary")
-
     def product(alpha):
         y = _step(comp, x0, g0, alpha, on_event)
         dx = float(np.linalg.norm(y - x0))
@@ -342,7 +332,7 @@ class Trace:
     prox_run: bool
     alpha0: float
     alpha0_searched: bool
-    status: str = "max_iter"
+    status: str = "max_iter"   # or converged, diverged, stalled
     iters: int = 0
     alphas: np.ndarray = None
     thetas: np.ndarray = None
@@ -396,9 +386,10 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         ||x^{k+1} - x^k|| / alpha_k <= grad_tol
 
     or the iteration budget is hit.  Iterate norms above the configured
-    divergence threshold mark the run diverged; non-finite iterates under any
-    rule other than the divergent variant raise a hard error with the step
-    index.
+    divergence threshold mark the run diverged; a backtracking search that
+    accepts no trial ends it stalled at x^k, after k steps.  Non-finite
+    iterates under any rule other than the divergent variant raise a hard
+    error with the step index.
     """
     comp = problem.composite
     prox_run = comp.has_prox_part
@@ -447,7 +438,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     alpha_prev, theta_prev = alpha0, rule.theta0   # alpha_{k-1}, theta_{k-1}
     override = config.curvature_override
     status = "max_iter"
-    F_next = math.nan
+    F_next = trace.F_initial   # F(x^k) entering step k, when rows are recorded
 
     # one error state for the whole loop: a diverging rule overflows on purpose
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,6 +453,9 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
             if linesearch:
                 alpha_k, x_next, f_next, _ = armijo_search(
                     comp, x_curr, g_curr, alpha_prev, rule.s, rule.r, f_curr, on_event)
+                if x_next is None:   # no trial accepted: the run ends at x^k
+                    status = "stalled"
+                    break
                 theta_k = alpha_k / alpha_prev
             else:
                 if k == 0:   # the first step takes alpha_0 and reports theta_0
@@ -507,11 +501,11 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 grads.append(g_curr.copy())
 
     trace.status = status
-    trace.iters = k + 1   # the loop always ends in a break
+    trace.iters = k + (status != "stalled")   # the loop always ends in a break
     if rows:
         (trace.alphas, trace.thetas, trace.curvatures, trace.step_norms,
-         trace.F_steps) = (np.asarray(column) for column in zip(*steps))
-        trace.counter_rows = np.asarray(crows, dtype=np.int64)
+         trace.F_steps) = (np.asarray(column) for column in (zip(*steps) if steps else [()] * 5))
+        trace.counter_rows = np.asarray(crows, dtype=np.int64).reshape(-1, len(COUNTER_FIELDS))
     trace.counters = counters
     trace.x_final = np.array(x_curr, dtype=np.float64)
     trace.F_final = F_next if (rows or not np.all(np.isfinite(x_curr))) \

@@ -301,7 +301,7 @@ def loop_detect_breakpoints(trace, L_ref=None) -> BreakpointRecord:
         L_ref = trace.max_curvature
     a, th = trace.alphas, trace.thetas
     if L_ref <= 0 or trace.iters < 2:
-        return BreakpointRecord([], L_ref)
+        return BreakpointRecord([])
     is_bp = [False] * trace.iters
     indices = []
     for m in range(1, trace.iters):
@@ -314,7 +314,7 @@ def loop_detect_breakpoints(trace, L_ref=None) -> BreakpointRecord:
             if is_bp[k - 1] or (a[k - 1] < a[k] and is_bp[k - 2]):
                 continue
             violations.append(k)
-    return BreakpointRecord(indices, L_ref, violations)
+    return BreakpointRecord(indices, violations)
 
 
 def loop_energy_gd(trace, reference) -> CertificateReport:
@@ -412,10 +412,8 @@ def two_loop_alpha0_search(comp, x0, g0, on_event):
     """The initial stepsize search written as two mirrored loops, one up (x10
     to the cap) and one down (/10), each with its own prox branch: the
     reference for the single-loop ``adgd.solvers._alpha0_search``."""
-    from adgd.solvers import ALPHA0_CAP, ALPHA0_HIGH, ALPHA0_LOW, StationaryStart
+    from adgd.solvers import ALPHA0_CAP, ALPHA0_HIGH, ALPHA0_LOW
 
-    if float(np.linalg.norm(g0)) == 0.0:
-        raise StationaryStart("gradient at x0 is zero; already stationary")
     prox_run = comp.has_prox_part
 
     def product(alpha):

@@ -22,15 +22,12 @@ from adgd.diagnostics import (
     check_subgradient_monotonicity,
     trajectory_curvature_sweep,
 )
-from adgd.experiments import ops_to_accuracy, parse_config, run_experiment
+from adgd.experiments import DEFAULT_ARMIJO_PAIRS, ops_to_accuracy, parse_config, run_experiment
 from adgd.problems import make_counterexample, make_quadratic
 from adgd.prox import project_l1_ball, project_nuclear_ball
 from adgd.solvers import AdGD2, Armijo, BadGD, RunConfig, run_solver
 
 from oracles import l1_project_scan, nuclear_project_scan
-
-ARMIJO_PAIRS = [(1.2, 0.5), (1.5, 0.8), (1.1, 0.5), (1.2, 0.9), (1.1, 0.9),
-                (1.5, 0.5), (1.2, 0.8), (1.1, 0.8), (1.5, 0.9)]
 
 REPRO_BUDGET = {
     "mle": (4000, 1e-9),
@@ -232,7 +229,7 @@ def test_criterion_7_experiment_reproduction(request):
             thresholds[kind] = ref.F_star + 1e-6 * (1.0 + abs(ref.F_star))
     # one pool task per (kind, rule) cell: the adaptive run, then the Armijo pairs
     cells = [(kind, rule) for kind in kinds
-             for rule in [AdGD2(), *(Armijo(s, r) for s, r in ARMIJO_PAIRS)]]
+             for rule in [AdGD2(), *(Armijo(s, r) for s, r in DEFAULT_ARMIJO_PAIRS)]]
 
     def ops(i):
         kind, rule = cells[i]

@@ -575,6 +575,55 @@ def test_cli_run_check_plot_cycle(tmp_path):
     assert cli_main(["check", "--run", str(tmp_path / "out")]) == 4
 
 
+LRMC_CELL = """
+[experiment]
+seed = 4
+max_iter = {max_iter}
+reference = none
+plot = no
+
+[run.a]
+problem = lrmc
+rule = {rule}
+"""
+
+
+def test_cli_run_with_a_stalled_cell_exits_0_with_its_status(tmp_path, capsys):
+    """Armijo(1.1, 0.9) on desk lrmc seed 4 finds no step at the rounding floor:
+    the cell ends stalled, and the run writes every file."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LRMC_CELL.format(max_iter=120, rule="armijo\ns = 1.1\nr = 0.9"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, row = (out / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["status"] == "stalled"
+    cols = read_trace_csv(out / "lrmc__armijo_s1.1_r0.9.csv")
+    assert cols["iter"].size == int(cells["iterations"]) > 0
+    # the essential total counts what the run spent, the failed search included
+    assert float(cells["essential_total"]) == int(cells["svd_count"]) > cols["svd_count"][-1]
+    assert (out / "meta.json").exists()
+
+
+def test_cli_check_on_a_cell_edited_to_a_stationary_start_exits_4(tmp_path, capsys):
+    """With no observed entries the lrmc gradient is zero at x0: the rerun
+    converges in one step, and only its trace reproduction fails."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LRMC_CELL.format(max_iter=5, rule="adproxgd"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    meta["cells"][0]["problem"]["params"]["fraction"] = 1e-9
+    (out / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli_main(["check", "--run", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"{'lrmc/adproxgd':36s} trace_reproduction          FAIL  stored CSV differs"]
+
+
 def _with_cell(change):
     def edit(text):
         meta = json.loads(text)
@@ -652,6 +701,14 @@ def _first_cell_problem(change):
     pytest.param(_first_cell_problem(lambda desc: desc["params"].update(q=1)),
                  id="unknown parameter"),
     pytest.param(_first_cell_problem(lambda desc: desc.pop("seed")), id="no seed"),
+    pytest.param(_first_cell_problem(lambda desc: desc.update(kind="mle", params={"n": 0})),
+                 id="mle with n 0"),
+    pytest.param(_first_cell_problem(lambda desc: desc.update(kind="lrmc", params={"n": 0})),
+                 id="lrmc with n 0"),
+    pytest.param(_first_cell_problem(lambda desc: desc.update(kind="nmf", params={"n": 0})),
+                 id="nmf with n 0"),
+    pytest.param(_first_cell_problem(lambda desc: desc["params"].update(n=0)),
+                 id="dual_entropy with n 0"),
 ])
 @pytest.mark.parametrize("command", ["check", "plot"])
 def test_check_and_plot_on_a_cell_problem_that_cannot_be_built_exit_2(

@@ -22,7 +22,6 @@ import adgd.experiments
 import adgd.solvers
 from adgd.cli import main as cli_main
 from adgd.core import NumericalError, process_map
-from adgd.solvers import LinesearchStalled
 
 pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="the pool needs the fork start method")
@@ -145,7 +144,7 @@ def lrmc_fails_after_nmf(nmf_failed: Path, workers: int):
             raise NumericalError("lrmc failed")
         if inst.kind == "nmf":
             nmf_failed.touch()
-            raise LinesearchStalled("nmf failed")
+            raise NumericalError("nmf failed")
     return fail
 
 

@@ -5,13 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adgd.accounting import Counters, apply_event
+from adgd.accounting import COUNTER_FIELDS, Counters, apply_event
 from adgd.core import NumericalError, SmoothFunction, composite, ProxFriendly
 from adgd.experiments import trace_csv_text
 from adgd.problems import (
     make_counterexample,
     make_dual_entropy,
     make_least_squares,
+    make_lrmc,
     make_problem,
     make_quadratic,
     make_quartic,
@@ -25,11 +26,9 @@ from adgd.solvers import (
     Armijo,
     BadGD,
     FixedStep,
-    LinesearchStalled,
     MAX_LINESEARCH_TRIALS,
     OldAdGD,
     RunConfig,
-    StationaryStart,
     _alpha0_search,
     _norm,
     armijo_search,
@@ -331,13 +330,62 @@ def test_armijo_counts_prox_per_trial():
     assert events == ["prox", "value"] * evals   # each trial: its prox, then its value
 
 
+def _stuck():
+    """f = 1 with f' = 1: no backtracking trial ever passes the decrease test."""
+    return composite(SmoothFunction(1, lambda x: 1.0, lambda x: np.array([1.0])))
+
+
 def test_armijo_stalls_on_pathological_objective():
-    f = SmoothFunction(1, lambda x: 1.0, lambda x: np.array([1.0]))
-    comp = composite(f)
     events = []
-    with pytest.raises(LinesearchStalled):
-        armijo_search(comp, vec(0.0), vec(1.0), 1.0, 1.2, 0.9, -10.0, events.append)
+    result = armijo_search(_stuck(), vec(0.0), vec(1.0), 1.0, 1.2, 0.9, -10.0, events.append)
+    # the last trial's stepsize, no point, no value, every trial of the budget
+    assert result == (1.2 * (0.9 ** MAX_LINESEARCH_TRIALS) * 1.0, None, None,
+                      MAX_LINESEARCH_TRIALS + 1)
     assert events == ["value"] * (MAX_LINESEARCH_TRIALS + 1)
+
+
+@pytest.mark.parametrize("rows,trajectory", [(True, True), (True, False), (False, False)])
+def test_run_stalled_at_the_first_step_ends_at_x0(rows, trajectory):
+    tr = run_solver(instance(_stuck(), 0.0), Armijo(1.2, 0.9),
+                    RunConfig(max_iter=5, record_rows=rows, record_trace=trajectory))
+    assert (tr.status, tr.iters) == ("stalled", 0)
+    assert tr.x_final.tolist() == [0.0]
+    assert tr.F_final == tr.F_initial == 1.0
+    assert math.isnan(tr.final_residual)   # no step was taken
+    # the failed search is counted: f at x0, then every trial
+    assert tr.counters.func_evals == 1 + MAX_LINESEARCH_TRIALS + 1
+    if rows:
+        assert tr.alphas.shape == tr.F_steps.shape == (0,)
+        assert tr.counter_rows.shape == (0, len(COUNTER_FIELDS))
+        assert trace_csv_text(tr).count("\n") == 1   # the header alone
+    if trajectory:
+        assert tr.xs.tolist() == [[0.0]] and tr.grads.tolist() == [[1.0]]
+
+
+def test_armijo_run_that_finds_no_step_ends_stalled_at_x_k():
+    """Armijo(1.1, 0.9) on desk lrmc seed 4 reaches the rounding floor, where
+    0.9^200 cannot shrink alpha enough (29 steps on a 2-CPU x86 box with
+    OpenBLAS).  At grad_tol 1e-8 the same run converges before the floor."""
+    inst = make_problem("lrmc", 4)
+    cfg = RunConfig(max_iter=120, grad_tol=1e-9)
+    tr = run_solver(inst, Armijo(1.1, 0.9), cfg)
+    k = tr.iters
+    assert tr.status == "stalled" and 0 < k < cfg.max_iter
+    assert tr.alphas.shape == tr.F_steps.shape == (k,)
+    assert tr.counter_rows.shape == (k, len(COUNTER_FIELDS))
+    assert trace_csv_text(tr).count("\n") == k + 1   # the header and k rows
+    assert tr.xs.shape[0] == tr.grads.shape[0] == k + 1
+    assert np.array_equal(tr.x_final, tr.xs[k])
+    assert tr.F_final == tr.F_steps[-1]
+    # the stalled search's trials follow the last row: f and one SVD prox each
+    last = dict(zip(COUNTER_FIELDS, tr.counter_rows[-1].tolist()))
+    assert tr.counters.func_evals - last["func_evals"] == MAX_LINESEARCH_TRIALS + 1
+    assert tr.counters.svd_count - last["svd_count"] == MAX_LINESEARCH_TRIALS + 1
+    # the stall leaves the k steps before it as a k-step run takes them
+    short = run_solver(inst, Armijo(1.1, 0.9), dataclasses.replace(cfg, max_iter=k))
+    assert short.status == "max_iter"
+    assert trace_csv_text(short) == trace_csv_text(tr)
+    assert np.array_equal(short.x_final, tr.x_final) and short.F_final == tr.F_final
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +439,25 @@ def test_alpha0_prox_problem_lands_in_window():
     assert 1.0 / SQ2 - 1e-12 <= a0 * L1 <= 2.0 + 1e-12
 
 
-def test_alpha0_stationary_start_raises():
+def test_alpha0_stationary_start_climbs_to_the_cap():
     comp = composite(half_sq(3))
-    with pytest.raises(StationaryStart):
-        run_solver(instance(comp, np.zeros(3)), AdGD2(), RunConfig(max_iter=5))
-    with pytest.raises(StationaryStart):
-        _alpha0_search(comp, np.zeros(3), np.zeros(3), [].append)
+    for search in (_alpha0_search, two_loop_alpha0_search):
+        events = []
+        assert search(comp, np.zeros(3), np.zeros(3), events.append) == ALPHA0_CAP
+        assert events == []   # no trial step moves, so no probe takes a gradient
+
+
+@pytest.mark.parametrize("rule", [AdGD2(), Armijo(1.2, 0.5)], ids=["adgd2", "armijo"])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: instance(composite(half_sq(3)), np.zeros(3)), id="smooth"),
+    pytest.param(lambda: make_lrmc(1, 60, fraction=1e-9), id="lrmc-no-entries"),
+])
+def test_run_from_a_stationary_start_converges_in_one_step(make, rule):
+    inst = make()
+    assert not np.any(inst.composite.f.gradient(inst.x0))
+    tr = run_solver(inst, rule, RunConfig(max_iter=5))
+    assert (tr.status, tr.iters) == ("converged", 1)
+    assert tr.alpha0 == ALPHA0_CAP
 
 
 def _one_dim(gradient):
@@ -439,7 +500,7 @@ def _alpha0_outcome(search, make):
     try:
         with np.errstate(all="ignore"):   # the inf and nan cases
             result = search(inst.composite, inst.x0, g0, events.append)
-    except (NumericalError, StationaryStart) as exc:
+    except NumericalError as exc:
         result = (type(exc), str(exc))
     return result, events
 
