@@ -11,9 +11,9 @@ from adgd.diagnostics import detect_breakpoints, run_certificates
 from adgd.reference import make_reference
 
 inst = make_dual_entropy(seed=1, m=60, n=30)
-print(f"problem: {inst.label} (dim {inst.dimension})")
+print(f"problem: {inst.label} (dim {inst.composite.f.dimension})")
 
-reference = make_reference(inst, cache_dir=None, max_iter=200000)
+reference = make_reference(inst, cache_dir=None)
 print(f"reference: F_ref={reference.F_star:.9f} ({reference.provenance})\n")
 
 trace = run_solver(inst, AdGD2(), RunConfig(max_iter=2000, grad_tol=1e-10))

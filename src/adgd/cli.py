@@ -103,7 +103,7 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_DIAGNOSTICS
 
         if args.command == "check":
-            lines, ok = check_run_dir(args.run, Path(args.run) / "check_report.txt")
+            lines, ok = check_run_dir(args.run)
             _say("\n".join(lines))
             return EXIT_OK if ok else EXIT_DIAGNOSTICS
 

@@ -72,10 +72,6 @@ class CompositeProblem:
     g: ProxFriendly
 
     @property
-    def dimension(self) -> int:
-        return self.f.dimension
-
-    @property
     def has_prox_part(self) -> bool:
         return not self.g.is_zero
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
@@ -143,7 +144,8 @@ def _want_int(value, lineno, key, minimum):
     number = _want_float(value, lineno, key)
     if not (number.is_integer() and number >= minimum):  # is_integer is false for inf, nan
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}", lineno)
-    return int(number)
+    # integer text is read exactly: through float, 2**53 + 1 would become 2**53
+    return int(value) if re.fullmatch(r"[+-]?[0-9]+", value) else int(number)
 
 
 def _want_positive(value, lineno, key):
@@ -399,7 +401,7 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     if not check:
         return results, [], True
     stored = ((out / csv_name).read_text(encoding="utf-8") for csv_name in csv_names)
-    return (results, *_check_report(zip(stored, stream), out / "check_report.txt"))
+    return (results, *_check_report(zip(stored, stream), out))
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +484,20 @@ def plot_run_dir(run_dir) -> List[Path]:
     return outputs
 
 
-def check_run_dir(run_dir, reports_out: Optional[Path] = None):
+def check_run_dir(run_dir):
     """Re-run every stored cell deterministically and certify it.
 
     Each cell is regenerated from its descriptor, rerun with the recorded
     settings, byte-compared against the stored CSV, and passed through the
-    applicable certificates, one ``process_map`` task per cell.  Returns
-    (lines, ok), in cell order.
+    applicable certificates, one ``process_map`` task per cell.  Writes the
+    report to ``check_report.txt`` in ``run_dir`` and returns (lines, ok), in
+    cell order.
     """
     run_dir = Path(run_dir)
     meta = read_meta(run_dir)
     certify = _certifier(meta, run_dir)
     stored = ((run_dir / cell["csv"]).read_text(encoding="utf-8") for cell in meta["cells"])
-    return _check_report(zip(stored, process_map(certify, len(meta["cells"]))), reports_out)
+    return _check_report(zip(stored, process_map(certify, len(meta["cells"]))), run_dir)
 
 
 def read_meta(run_dir) -> dict:
@@ -563,9 +566,10 @@ def _certifier(meta: dict, run_dir: Path):
     return certify
 
 
-def _check_report(cells, reports_out: Optional[Path]):
+def _check_report(cells, run_dir: Path):
     """(lines, ok) of a check from (stored CSV text, ``certify`` result) per
-    cell: a rerun whose CSV differs from the stored one fails alone."""
+    cell, the lines also written to ``check_report.txt`` in ``run_dir``: a rerun
+    whose CSV differs from the stored one fails alone."""
     lines = []
     ok = True
     for stored, (tag, csv_text, cell_lines, cell_ok) in cells:
@@ -575,6 +579,5 @@ def _check_report(cells, reports_out: Optional[Path]):
         else:
             lines += [f"{tag:36s} trace_reproduction          PASS", *cell_lines]
             ok = ok and cell_ok
-    if reports_out is not None:
-        Path(reports_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (run_dir / "check_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return lines, ok

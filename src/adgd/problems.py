@@ -61,10 +61,6 @@ class ProblemInstance:
     sample_point: Optional[Callable] = None
 
     @property
-    def dimension(self) -> int:
-        return self.composite.dimension
-
-    @property
     def label(self) -> str:
         return self.composite.f.name
 

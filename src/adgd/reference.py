@@ -7,8 +7,9 @@ reference is that closed form, with F* = F(x*) and the unit-step
 gradient-mapping residual at x* as tolerance.  The others (logistic, lrmc,
 curve, dual_entropy) get a long adaptive proximal-gradient run with a tight
 gradient-mapping tolerance.  Cache files are keyed by the problem
-descriptor, the solve settings (grad_tol, max_iter) and the cache format,
-which are also stored in the file and checked on load: a rerun with the same
+descriptor, the solve settings (``REFERENCE_GRAD_TOL`` and
+``REFERENCE_MAX_ITER``, read at call time) and the cache format, which are
+also stored in the file and checked on load: a rerun with the same
 seed, parameters and settings is a pure cache hit, and a reference is never
 reused under other settings.
 """
@@ -35,16 +36,14 @@ REFERENCE_MAX_ITER = 10 ** 6
 CACHE_FORMAT = "adgd-reference-v4"
 
 
-def _cache_settings(inst: ProblemInstance, grad_tol: float, max_iter: int) -> str:
+def _cache_settings(inst: ProblemInstance) -> str:
     return json.dumps({"descriptor": instance_descriptor(inst), "format": CACHE_FORMAT,
-                       "grad_tol": float(grad_tol), "max_iter": int(max_iter)},
+                       "grad_tol": REFERENCE_GRAD_TOL, "max_iter": REFERENCE_MAX_ITER},
                       sort_keys=True)
 
 
-def reference_path(cache_dir, inst: ProblemInstance, grad_tol: float = REFERENCE_GRAD_TOL,
-                   max_iter: int = REFERENCE_MAX_ITER) -> Path:
-    settings = _cache_settings(inst, grad_tol, max_iter)
-    key = hashlib.sha256(settings.encode()).hexdigest()[:16]
+def reference_path(cache_dir, inst: ProblemInstance) -> Path:
+    key = hashlib.sha256(_cache_settings(inst).encode()).hexdigest()[:16]
     return Path(cache_dir) / f"ref_{inst.kind}_{key}.npz"
 
 
@@ -70,17 +69,14 @@ def _save(path: Path, ref: ReferenceSolution, settings: str) -> None:
         raise
 
 
-def cached_reference(inst: ProblemInstance, cache_dir,
-                     grad_tol: float = REFERENCE_GRAD_TOL,
-                     max_iter: int = REFERENCE_MAX_ITER) -> Optional[ReferenceSolution]:
-    """The reference cached for ``inst`` under these settings, or None when
-    there is no file, the file cannot be read, or it was built under other
-    settings."""
-    path = reference_path(cache_dir, inst, grad_tol, max_iter)
+def cached_reference(inst: ProblemInstance, cache_dir) -> Optional[ReferenceSolution]:
+    """The reference cached for ``inst`` under the current settings, or None
+    when there is no file, the file cannot be read, or it was built under
+    other settings."""
+    path = reference_path(cache_dir, inst)
     try:
         with np.load(path) as data:
-            if ("settings" not in data.files
-                    or str(data["settings"]) != _cache_settings(inst, grad_tol, max_iter)):
+            if "settings" not in data.files or str(data["settings"]) != _cache_settings(inst):
                 return None
             return ReferenceSolution(
                 x_star=np.array(data["x_star"]),
@@ -100,22 +96,20 @@ def _closed_form_reference(inst: ProblemInstance) -> ReferenceSolution:
                              provenance=f"closed-form minimizer of the {inst.kind} generator")
 
 
-def _solve_reference(inst: ProblemInstance, grad_tol: float, max_iter: int) -> ReferenceSolution:
-    cfg = RunConfig(max_iter=max_iter, grad_tol=grad_tol,
+def _solve_reference(inst: ProblemInstance) -> ReferenceSolution:
+    cfg = RunConfig(max_iter=REFERENCE_MAX_ITER, grad_tol=REFERENCE_GRAD_TOL,
                     record_trace=False, record_rows=False)
     tr = run_solver(inst, AdGD2(), cfg)
-    prov = (f"adaptive proximal gradient, grad_tol={grad_tol:g}, "
+    prov = (f"adaptive proximal gradient, grad_tol={REFERENCE_GRAD_TOL:g}, "
             f"iters={tr.iters}, status={tr.status}")
     if tr.status != "converged":
         prov += " (low-confidence: budget exhausted)"
     return ReferenceSolution(x_star=tr.x_final, F_star=tr.F_final,
-                             tolerance=max(tr.final_residual, grad_tol),
+                             tolerance=max(tr.final_residual, REFERENCE_GRAD_TOL),
                              provenance=prov)
 
 
 def make_reference(inst: ProblemInstance, cache_dir=None,
-                   grad_tol: float = REFERENCE_GRAD_TOL,
-                   max_iter: int = REFERENCE_MAX_ITER,
                    force: bool = False) -> ReferenceSolution:
     """Reference for ``inst``, from cache when available.
 
@@ -123,14 +117,13 @@ def make_reference(inst: ProblemInstance, cache_dir=None,
     run otherwise.  Pass ``cache_dir=None`` to skip caching entirely.
     """
     if cache_dir is not None and not force:
-        ref = cached_reference(inst, cache_dir, grad_tol, max_iter)
+        ref = cached_reference(inst, cache_dir)
         if ref is not None:
             return ref
     if inst.solution is not None:
         ref = _closed_form_reference(inst)
     else:
-        ref = _solve_reference(inst, grad_tol, max_iter)
+        ref = _solve_reference(inst)
     if cache_dir is not None:
-        _save(reference_path(cache_dir, inst, grad_tol, max_iter), ref,
-              _cache_settings(inst, grad_tol, max_iter))
+        _save(reference_path(cache_dir, inst), ref, _cache_settings(inst))
     return ref

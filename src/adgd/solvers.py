@@ -302,7 +302,6 @@ class RunConfig:
     alpha0: Union[float, str] = "search"   # a float, or "search"
     record_trace: bool = True   # keep iterates/gradients (certificate inputs)
     record_rows: bool = True    # keep per-step scalars (CSV rows)
-    curvature_override: Optional[float] = None
     divergence_norm: float = DIVERGENCE_NORM
 
     def __post_init__(self):
@@ -436,16 +435,13 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     x_curr = x0
     g_prev, g_curr = None, g0
     alpha_prev, theta_prev = alpha0, rule.theta0   # alpha_{k-1}, theta_{k-1}
-    override = config.curvature_override
     status = "max_iter"
     F_next = trace.F_initial   # F(x^k) entering step k, when rows are recorded
 
     # one error state for the whole loop: a diverging rule overflows on purpose
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iter):
-            if override is not None:
-                L_k = override
-            elif k == 0:
+            if k == 0:
                 L_k = 0.0
             else:   # ||x^k - x^{k-1}|| is the last step's norm, which is
                     # positive: a zero step stopped the run as converged

@@ -1,11 +1,13 @@
 """Independent brute-force oracles shared by unit and acceptance tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from adgd.core import NumericalError, SmoothFunction
 from adgd.diagnostics import BreakpointRecord, CertificateReport
+from adgd.solvers import AdGD2
 
 
 def finite_difference_gradient(f: SmoothFunction, x, h=None) -> np.ndarray:
@@ -26,6 +28,20 @@ def finite_difference_gradient(f: SmoothFunction, x, h=None) -> np.ndarray:
             raise NumericalError(f"non-finite value in finite difference at coordinate {i}")
         out[i] = (fp - fm) / (2.0 * hi)
     return out
+
+
+@dataclass(frozen=True)
+class FixedCurvature(AdGD2):
+    """AdGD2 told a constant curvature ``L`` in place of its estimate L_k.
+
+    With alpha_0 = 1/L the curvature bound alpha / sqrt(2 alpha^2 L^2 - 1) is
+    1/L at every step and never exceeds the growth bound, so the method
+    reduces to gradient descent with stepsize 1/L.
+    """
+    L: float
+
+    def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
+        return super().stepsize(alpha_prev, theta_prev, self.L)
 
 
 def as_point(x) -> np.ndarray:

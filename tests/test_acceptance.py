@@ -27,7 +27,7 @@ from adgd.problems import make_counterexample, make_quadratic
 from adgd.prox import project_l1_ball, project_nuclear_ball
 from adgd.solvers import AdGD2, Armijo, BadGD, RunConfig, run_solver
 
-from oracles import l1_project_scan, nuclear_project_scan
+from oracles import FixedCurvature, l1_project_scan, nuclear_project_scan
 
 REPRO_BUDGET = {
     "mle": (4000, 1e-9),
@@ -104,8 +104,8 @@ def test_criterion_2_adaptive_control():
 def test_criterion_3_fixed_step_embedding():
     inst = make_quadratic(seed=90, n=50, condition_number=10.0)
     L = inst.composite.f.lipschitz
-    tr = run_solver(inst, AdGD2(), RunConfig(max_iter=1000, grad_tol=1e-300,
-                                             alpha0=1.0 / L, curvature_override=L))
+    tr = run_solver(inst, FixedCurvature(L), RunConfig(max_iter=1000, grad_tol=1e-300,
+                                                       alpha0=1.0 / L))
     dev = float(np.max(np.abs(tr.alphas * L - 1.0)))
     ok = tr.iters == 1000 and dev <= 1e-14
     verdict(3, "fixed-step embedding exact", ok,

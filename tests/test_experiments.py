@@ -107,6 +107,15 @@ def test_duplicate_key_rejected():
     assert "line 3" in str(err.value)
 
 
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config schema", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert (cfg.name, cfg.problems, cfg.seed, cfg.out) == ("demo", ["mle"], 1, Path("runs/demo"))
+    assert [(run.name, run.problem, run.rule) for run in cfg.runs] == \
+        [("NAME", "mle", Armijo(1.2, 0.5))]
+
+
 def test_run_section_requires_rule():
     text = "[experiment]\nname = x\n[run.a]\nproblem = mle\n"
     with pytest.raises(ConfigError):
@@ -125,6 +134,27 @@ def test_default_matrix_is_adaptive_plus_nine_pairs():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         parse_config("[experiment]\nname = x\n[mystery]\nkey = 1\n")
+
+
+@pytest.mark.parametrize("text, seed", [("9007199254740993", 2 ** 53 + 1),
+                                         ("18446744073709551617", 2 ** 64 + 1),
+                                         ("+12", 12), ("1e3", 1000), ("7.0", 7)])
+def test_config_integers_parse_exactly(text, seed):
+    assert parse_config(f"[experiment]\nseed = {text}\n").seed == seed
+
+
+def test_config_seed_past_2_to_the_53_runs_as_the_seed_flag(tmp_path):
+    body = "max_iter = 1\nreference = none\nplot = no\n\n[run.a]\nproblem = lrmc\nrule = adproxgd\n"
+    (tmp_path / "c.ini").write_text(f"[experiment]\nseed = 9007199254740993\n{body}")
+    (tmp_path / "f.ini").write_text(f"[experiment]\n{body}")
+    assert cli_main(["run", "--config", str(tmp_path / "c.ini"), "--out", str(tmp_path / "c")]) == 0
+    assert cli_main(["run", "--config", str(tmp_path / "f.ini"), "--out", str(tmp_path / "f"),
+                     "--seed", "9007199254740993"]) == 0
+    meta = (tmp_path / "c" / "meta.json").read_text()
+    assert json.loads(meta)["seed"] == 2 ** 53 + 1
+    assert meta == (tmp_path / "f" / "meta.json").read_text()
+    assert (tmp_path / "c" / "lrmc__adproxgd.csv").read_bytes() == \
+        (tmp_path / "f" / "lrmc__adproxgd.csv").read_bytes()
 
 
 @pytest.mark.parametrize("line", [
@@ -434,22 +464,29 @@ def test_reference_cache_hit(tmp_path):
     assert np.array_equal(ref1.x_star, ref2.x_star)
 
 
-def test_reference_cache_keyed_on_settings(tmp_path):
+def _loose_reference(inst, cache_dir, monkeypatch):
+    """A reference built and cached under grad_tol = 1e-6, and its cache file."""
+    with monkeypatch.context() as m:
+        m.setattr("adgd.reference.REFERENCE_GRAD_TOL", 1e-6)
+        return make_reference(inst, cache_dir), reference_path(cache_dir, inst)
+
+
+def test_reference_cache_keyed_on_settings(tmp_path, monkeypatch):
     inst = make_min_curve(83, 5, 20)   # no closed form: the settings steer the solve
     tight = make_reference(inst, tmp_path)
-    loose = make_reference(inst, tmp_path, grad_tol=1e-6)
+    loose, loose_path = _loose_reference(inst, tmp_path, monkeypatch)
     assert tight.tolerance < 1e-6 <= loose.tolerance
     assert "grad_tol=1e-06" in loose.provenance
-    assert reference_path(tmp_path, inst) != reference_path(tmp_path, inst, grad_tol=1e-6)
+    assert reference_path(tmp_path, inst) != loose_path
     assert len(list(tmp_path.glob("ref_curve_*.npz"))) == 2
     assert make_reference(inst, tmp_path).F_star == tight.F_star
 
 
-def test_reference_cache_rejects_file_of_other_settings(tmp_path):
+def test_reference_cache_rejects_file_of_other_settings(tmp_path, monkeypatch):
     inst = make_min_curve(84, 5, 20)
-    loose = make_reference(inst, tmp_path, grad_tol=1e-6)
+    loose, loose_path = _loose_reference(inst, tmp_path, monkeypatch)
     # a file built under other settings, sitting where the default lookup goes
-    reference_path(tmp_path, inst, grad_tol=1e-6).replace(reference_path(tmp_path, inst))
+    loose_path.replace(reference_path(tmp_path, inst))
     tight = make_reference(inst, tmp_path)
     assert "grad_tol=1e-12" in tight.provenance and tight.tolerance < loose.tolerance
 
@@ -524,7 +561,7 @@ def test_plot_is_read_only_and_emits_svg(small_run):
     assert before == after
 
 
-def test_plot_ignores_cache_file_of_other_settings(tmp_path):
+def test_plot_ignores_cache_file_of_other_settings(tmp_path, monkeypatch):
     out = tmp_path / "out"
     text = GOOD_CONFIG.format(out=out).replace("dual_entropy", "curve")
     run_experiment(parse_config(text.replace("reference = none", "reference = auto")))
@@ -536,8 +573,7 @@ def test_plot_ignores_cache_file_of_other_settings(tmp_path):
     plot_run_dir(out)
     without = {p.name: p.read_bytes() for p in out.glob("*.svg")}
     # a file built under other settings, sitting where the default lookup goes
-    make_reference(inst, cache, grad_tol=1e-6)
-    reference_path(cache, inst, grad_tol=1e-6).replace(reference_path(cache, inst))
+    _loose_reference(inst, cache, monkeypatch)[1].replace(reference_path(cache, inst))
     plot_run_dir(out)
     assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == without
     # a truncated file: a miss as well

@@ -386,7 +386,7 @@ def test_scales_defined(kind):
     assert KINDS[kind].metric in METRICS
     for scale, params in zip(("desk", "paper"), SCALE_PARAMS[kind]):
         inst = make_problem(kind, seed=9, scale=scale)
-        assert inst.dimension >= 1
+        assert inst.composite.f.dimension >= 1
         desc = instance_descriptor(inst)
         assert (desc["kind"], desc["params"]) == (kind, params)
         assert all(type(desc["params"][k]) is type(v) for k, v in params.items())

@@ -35,7 +35,8 @@ from adgd.solvers import (
     run_solver,
 )
 
-from oracles import curvature_estimate, recover_subgradient, two_loop_alpha0_search
+from oracles import (FixedCurvature, curvature_estimate, recover_subgradient,
+                     two_loop_alpha0_search)
 
 SQ2 = math.sqrt(2.0)
 
@@ -566,8 +567,8 @@ def test_run_alg1_stepsize_invariants():
 def test_run_fixed_step_reproduction_stays_exact():
     inst = make_quadratic(67, 50, 10.0)
     L = inst.composite.f.lipschitz
-    tr = run_solver(inst, AdGD2(), RunConfig(max_iter=1000, grad_tol=1e-300,
-                                             alpha0=1.0 / L, curvature_override=L))
+    tr = run_solver(inst, FixedCurvature(L), RunConfig(max_iter=1000, grad_tol=1e-300,
+                                                       alpha0=1.0 / L))
     assert tr.iters == 1000
     assert np.max(np.abs(tr.alphas - 1.0 / L)) <= 1e-14 / L
 
