@@ -14,8 +14,7 @@ from adgd.diagnostics import check_divergence_pattern
 
 inst = make_counterexample(12.0)
 
-bad = run_solver(inst, BadGD(c=1.0),
-                 RunConfig(max_iter=200, grad_tol=1e-14, divergence_norm=1e30))
+bad = run_solver(inst, BadGD(c=1.0), RunConfig(max_iter=200, grad_tol=1e-14))
 print(f"divergent variant: status={bad.status} after {bad.iters} steps")
 print(f"{'k':>3} {'x_k':>15} {'alpha_k':>12}")
 for k, x in enumerate(bad.xs.ravel()):

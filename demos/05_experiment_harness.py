@@ -26,19 +26,20 @@ alpha0 = search
 reference = auto
 """
 
-out = Path(tempfile.mkdtemp(prefix="adgd_demo_")) / "run"
-config = parse_config(CONFIG.format(out=out))
-print(f"cells: {[spec.name for spec in config.resolved_runs()]}\n")
+with tempfile.TemporaryDirectory(prefix="adgd_demo_") as tmp:
+    out = Path(tmp) / "run"
+    config = parse_config(CONFIG.format(out=out))
+    print(f"cells: {[spec.name for spec in config.resolved_runs()]}\n")
 
-results = run_experiment(config)
-for res in results:
-    tr = res.trace
-    print(f"{tr.rule_name:22s} status={tr.status:9s} iters={tr.iters:4d} "
-          f"F={tr.F_final:12.6f} svds={tr.counters.svd_count}")
+    results = run_experiment(config)
+    for res in results:
+        tr = res.trace
+        print(f"{tr.rule_name:22s} status={tr.status:9s} iters={tr.iters:4d} "
+              f"F={tr.F_final:12.6f} svds={tr.counters.svd_count}")
 
-print(f"\nartifacts in {out}:")
-for p in sorted(out.iterdir()):
-    print("  ", p.name)
+    print(f"\nartifacts in {out}:")
+    for p in sorted(out.iterdir()):
+        print("  ", p.name)
 
-plot_run_dir(out)
-print("\nobjective-gap plot:", out / "lrmc_gap_vs_ops.svg")
+    plot_run_dir(out)
+    print("\nobjective-gap plot:", out / "lrmc_gap_vs_ops.svg")

@@ -308,23 +308,22 @@ def check_rate(trace: Trace, reference: ReferenceSolution) -> CertificateReport:
 # Divergence pattern
 # ---------------------------------------------------------------------------
 
-def check_divergence_pattern(trace: Trace, c: Optional[float] = None) -> CertificateReport:
+def check_divergence_pattern(trace: Trace) -> CertificateReport:
     """Sign/magnitude structure of the divergent variant on the tails objective.
 
     Per block k: x^{2k} and x^{2k+1} share a sign, x^{2k+2} flips it, the
     flip at least doubles the magnitude (|x^{2k+2}| > 2|x^{2k+1}|), and the
     even subsequence grows (|x^{2k+2}| > |x^{2k}|).  The odd-step half-bound
-    2|x^{2k+1}| > |x^{2k}| is provable only for c >= 2 (the same-sign shrink
-    factor is 1 - (1+o(1))/(2c), which sits just below 1/2 at c = 1), so it
-    is asserted only there.  The run must have diverged.
+    2|x^{2k+1}| > |x^{2k}| is provable only for the rule's c >= 2 (the
+    same-sign shrink factor is 1 - (1+o(1))/(2c), which sits just below 1/2
+    at c = 1), so it is asserted only there.  The run must have diverged.
 
     Note the even magnitudes multiply by |x^{2k+1}| per block, so float64
     overflows after a handful of blocks; every representable block is checked.
     """
     name = "divergence_pattern"
     _need_recorded(trace)
-    if c is None:
-        c = getattr(trace.rule, "c", 1.0)
+    c = getattr(trace.rule, "c", 1.0)
     xs = trace.xs.ravel()
     viol, its = [], []
     if trace.status != "diverged":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
@@ -41,7 +40,7 @@ DEFAULT_ARMIJO_PAIRS = [
     (1.5, 0.5), (1.2, 0.8), (1.1, 0.8), (1.5, 0.9),
 ]
 
-META_FORMAT = "adgd-run-meta-v1"
+META_FORMAT = "adgd-run-meta-v2"
 
 
 class ConfigError(ValueError):
@@ -141,11 +140,14 @@ def _want_float(value, lineno, key):
 
 
 def _want_int(value, lineno, key, minimum):
-    number = _want_float(value, lineno, key)
-    if not (number.is_integer() and number >= minimum):  # is_integer is false for inf, nan
+    from decimal import Decimal   # imported here: `import adgd.cli` does not load it
+    number = _want_float(value, lineno, key)   # text past float range reads inf
+    # is_integer is false for inf, nan; the text is read exactly, as through
+    # float 2**53 + 1 would become 2**53 and 2.0000000000000001 would become 2
+    exact = Decimal(value) if number.is_integer() and number >= minimum else None
+    if exact is None or exact != exact.to_integral_value():
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}", lineno)
-    # integer text is read exactly: through float, 2**53 + 1 would become 2**53
-    return int(value) if re.fullmatch(r"[+-]?[0-9]+", value) else int(number)
+    return int(exact)
 
 
 def _want_positive(value, lineno, key):
@@ -258,9 +260,7 @@ def load_config(path) -> ExperimentConfig:
 # CSV
 # ---------------------------------------------------------------------------
 
-# the counters a trace CSV shows, in order; the reuse discount is rebuilt on reading
-CSV_COUNTER_FIELDS = COUNTER_FIELDS[:-1]
-CSV_HEADER = "iter,alpha,theta,Lk,F,step_norm," + ",".join(CSV_COUNTER_FIELDS)
+CSV_HEADER = "iter,alpha,theta,Lk,F,step_norm," + ",".join(COUNTER_FIELDS)
 
 
 def trace_csv_text(trace: Trace) -> str:
@@ -269,9 +269,8 @@ def trace_csv_text(trace: Trace) -> str:
         raise ValueError("run did not record rows; rerun with record_rows=True")
     floats = zip(*(a.tolist() for a in (trace.alphas, trace.thetas, trace.curvatures,
                                         trace.F_steps, trace.step_norms)))
-    counts = trace.counter_rows[:, :len(CSV_COUNTER_FIELDS)].tolist()
     lines = [CSV_HEADER]
-    for k, (row, c) in enumerate(zip(floats, counts)):
+    for k, (row, c) in enumerate(zip(floats, trace.counter_rows.tolist())):
         lines.append(",".join([str(k), *map(repr, row), *map(str, c)]))
     return "\n".join(lines) + "\n"
 
@@ -302,7 +301,7 @@ def read_trace_csv(path) -> dict:
 # ---------------------------------------------------------------------------
 
 SUMMARY_HEADER = ("problem,rule,status,iterations,final_F,essential_metric,"
-                  "essential_total," + ",".join(CSV_COUNTER_FIELDS) + ",reused_evals")
+                  "essential_total," + ",".join(COUNTER_FIELDS))
 
 
 @dataclass
@@ -318,8 +317,7 @@ class CellResult:
         cells = [self.instance.kind, t.rule_name, t.status, str(t.iters),
                  repr(float(t.F_final)), essential_metric_name(self.instance.kind),
                  repr(float(total))]
-        cells += [str(getattr(c, f)) for f in CSV_COUNTER_FIELDS]
-        cells += [str(c.reused_evals)]
+        cells += map(str, c.snapshot())
         return ",".join(cells)
 
 
@@ -408,25 +406,6 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
 # Essential-operation views
 # ---------------------------------------------------------------------------
 
-def row_essential_units(kind: str, rule_kind: str, cols: dict) -> np.ndarray:
-    """Essential units per CSV row.
-
-    The CSV keeps the six raw counters; the reuse discount is reconstructed
-    from the run structure: under backtracking every gradient except the
-    initial stepsize-search probes reuses the matching accepted evaluation
-    (row 0 pins the probe count), and the other rules never evaluate the
-    objective at all.
-    """
-    rows = np.stack([cols[f] for f in CSV_COUNTER_FIELDS], axis=1)
-    if rule_kind == "armijo" and rows.shape[0]:
-        probes = max(float(cols["grad_evals"][0]) - 1.0, 0.0)
-        reused = np.maximum(cols["grad_evals"] - probes, 0.0)
-    else:
-        reused = np.zeros(rows.shape[0])
-    full = np.concatenate([rows, reused[:, None]], axis=1)
-    return essential_units_rows(kind, full)
-
-
 def ops_to_accuracy(trace: Trace, kind: str, threshold: float) -> float:
     """Essential units spent when F first reaches ``threshold``; inf if never."""
     if trace.F_initial <= threshold:
@@ -470,7 +449,7 @@ def plot_run_dir(run_dir) -> List[Path]:
             if meta["reference"] == "auto" else None
         anchor = ref.F_star if ref is not None else best
         for cell, cols in loaded:
-            ops = row_essential_units(kind, cell["rule"]["kind"], cols)
+            ops = essential_units_rows(kind, np.stack([cols[f] for f in COUNTER_FIELDS], axis=1))
             gaps = cols["F"] - anchor
             curves.append((rule_from_dict(cell["rule"]).label, ops, gaps))
         plots.append((kind, curves))

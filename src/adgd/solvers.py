@@ -45,7 +45,7 @@ class StepsizeRule:
     prox_ok = False          # valid with a prox-friendly part
     linesearch = False       # steps come from armijo_search, not stepsize
     fixed_alpha0 = None      # alpha_0 regardless of the run's setting
-    divergent = False        # a non-finite iterate ends the run as diverged
+    divergent = False        # stops at its first non-finite iterate, not at DIVERGENCE_NORM
 
     @property
     def name(self) -> str:
@@ -302,7 +302,6 @@ class RunConfig:
     alpha0: Union[float, str] = "search"   # a float, or "search"
     record_trace: bool = True   # keep iterates/gradients (certificate inputs)
     record_rows: bool = True    # keep per-step scalars (CSV rows)
-    divergence_norm: float = DIVERGENCE_NORM
 
     def __post_init__(self):
         # a setting of the wrong type raises TypeError here, not in the loop;
@@ -384,11 +383,11 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
         ||x^{k+1} - x^k|| / alpha_k <= grad_tol
 
-    or the iteration budget is hit.  Iterate norms above the configured
-    divergence threshold mark the run diverged; a backtracking search that
-    accepts no trial ends it stalled at x^k, after k steps.  Non-finite
-    iterates under any rule other than the divergent variant raise a hard
-    error with the step index.
+    or the iteration budget is hit.  An iterate norm above ``DIVERGENCE_NORM``
+    marks the run diverged, but the divergent variant runs on to its first
+    non-finite iterate, which under any other rule raises a hard error with
+    the step index.  A backtracking search that accepts no trial ends the run
+    stalled at x^k, after k steps.
     """
     comp = problem.composite
     prox_run = comp.has_prox_part
@@ -480,7 +479,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
             if record:
                 xs.append(x_next.copy() if finite else np.array(x_next, dtype=np.float64))
 
-            if not finite or math.sqrt(sq) > config.divergence_norm:
+            if not finite or (not rule.divergent and math.sqrt(sq) > DIVERGENCE_NORM):
                 status = "diverged"
             elif step_norm / alpha_k <= config.grad_tol:
                 status = "converged"

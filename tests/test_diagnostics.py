@@ -284,8 +284,7 @@ def test_dichotomy_on_shipped_runs(quad_run, orthant_run):
 
 def test_divergence_pattern_c1():
     inst = make_counterexample(12.0)
-    tr = run_solver(inst, BadGD(1.0), RunConfig(max_iter=200, grad_tol=1e-14,
-                                                divergence_norm=1e30))
+    tr = run_solver(inst, BadGD(1.0), RunConfig(max_iter=200, grad_tol=1e-14))
     rep = check_divergence_pattern(tr)
     assert rep.passed
     assert "blocks=6" in rep.note
@@ -293,21 +292,19 @@ def test_divergence_pattern_c1():
 
 def test_divergence_pattern_c2():
     inst = make_counterexample(20.0)
-    tr = run_solver(inst, BadGD(2.0), RunConfig(max_iter=200, grad_tol=1e-14,
-                                                divergence_norm=1e30))
-    rep = check_divergence_pattern(tr, c=2.0)
+    tr = run_solver(inst, BadGD(2.0), RunConfig(max_iter=200, grad_tol=1e-14))
+    rep = check_divergence_pattern(tr)
     assert rep.passed
 
 
 def test_divergence_pattern_takes_c_from_the_rule_not_its_name():
     # BadGD(1.9999999) is named badgd_c2, but c < 2: no odd-step half-bound
     inst = make_counterexample(20.0)
-    cfg = RunConfig(max_iter=200, grad_tol=1e-14, divergence_norm=1e30)
-    tr = run_solver(inst, BadGD(1.9999999), cfg)
-    assert tr.rule_name == "badgd_c2"
-    rep = check_divergence_pattern(tr)
-    assert rep.n_checked == check_divergence_pattern(tr, c=1.0).n_checked == 24
-    assert check_divergence_pattern(tr, c=2.0).n_checked == 30
+    cfg = RunConfig(max_iter=200, grad_tol=1e-14)
+    below, two = (run_solver(inst, BadGD(c), cfg) for c in (1.9999999, 2.0))
+    assert below.rule_name == two.rule_name == "badgd_c2"
+    assert check_divergence_pattern(below).n_checked == 24
+    assert check_divergence_pattern(two).n_checked == 30
 
 
 def test_divergence_pattern_control_converges():

@@ -13,7 +13,6 @@ import pytest
 from adgd.accounting import (COUNTER_FIELDS, Counters, apply_event, essential_units,
                               essential_units_rows)
 from adgd.experiments import (
-    CSV_COUNTER_FIELDS,
     CSV_HEADER,
     ConfigError,
     DEFAULT_ARMIJO_PAIRS,
@@ -21,7 +20,6 @@ from adgd.experiments import (
     parse_config,
     plot_run_dir,
     read_trace_csv,
-    row_essential_units,
     rule_from_dict,
     rule_to_dict,
     run_experiment,
@@ -159,6 +157,8 @@ def test_config_seed_past_2_to_the_53_runs_as_the_seed_flag(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "max_iter = 0", "seed = nan", "max_iter = 1e400", "grad_tol = -1", "alpha0 = -2",
+    # text that float rounds to an integer, but whose decimal value is none
+    "seed = 9007199254740993.5", "max_iter = 2.0000000000000001",
 ])
 def test_cli_bad_value_exits_2_with_line(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -355,7 +355,7 @@ def test_csv_header_and_roundtrip(small_run):
     path = out / results[0].csv_name
     first = path.read_text().splitlines()[0]
     assert first == ("iter,alpha,theta,Lk,F,step_norm,grad_evals,func_evals,"
-                     "prox_evals,svd_count,eig_count,projection_count")
+                     "prox_evals,svd_count,eig_count,projection_count,reused_evals")
     cols = read_trace_csv(path)
     names = first.split(",")
     rows = _trace_rows(results[0].trace)
@@ -370,7 +370,7 @@ def test_csv_header_and_roundtrip(small_run):
 def _trace_rows(t):
     # one tuple per step in CSV_HEADER order, with numpy scalars as recorded
     return [(k, t.alphas[k], t.thetas[k], t.curvatures[k], t.F_steps[k], t.step_norms[k],
-             *t.counter_rows[k][:len(CSV_COUNTER_FIELDS)]) for k in range(len(t.alphas))]
+             *t.counter_rows[k]) for k in range(len(t.alphas))]
 
 
 def _csv_text_cell_by_cell(trace):
@@ -383,8 +383,7 @@ def _csv_text_cell_by_cell(trace):
 
 def test_trace_csv_text_matches_cell_by_cell_formatter():
     diverged = run_solver(make_counterexample(12.0), BadGD(1.0),
-                          RunConfig(max_iter=200, grad_tol=1e-14, record_trace=False,
-                                    divergence_norm=math.inf))
+                          RunConfig(max_iter=200, grad_tol=1e-14, record_trace=False))
     armijo = run_solver(make_problem("mle", 1), Armijo(1.2, 0.5),
                         RunConfig(max_iter=40, record_trace=False))
     assert diverged.status == "diverged" and np.isinf(diverged.F_steps[-1])
@@ -423,13 +422,26 @@ def test_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_row_essential_units_reconstruction(small_run):
-    out, _, results = small_run
-    for res, rule_kind in zip(results, ["adgd2", "armijo"]):
-        cols = read_trace_csv(out / res.csv_name)
-        ops = row_essential_units(res.instance.kind, rule_kind, cols)
-        true_last = essential_units(res.instance.kind, res.trace.counters)
-        assert ops[-1] == true_last
+def test_csv_counter_columns_give_the_essential_units_of_every_row(tmp_path):
+    """Every cell of the default matrix, stalled lrmc cells included: the units
+    of each CSV row are those of the run's counter row, and the last row's are
+    the summary's total unless a failed search came after it."""
+    cfg = parse_config("[experiment]\nseed = 4\nmax_iter = 120\nreference = none\n"
+                       f"plot = no\nout = {tmp_path}\n")
+    results = run_experiment(cfg)
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    statuses = set()
+    for line, res in zip(lines[1:], results, strict=True):
+        cells = dict(zip(header, line.split(",")))
+        kind, trace = res.instance.kind, res.trace
+        cols = read_trace_csv(tmp_path / res.csv_name)
+        units = essential_units_rows(kind, np.stack([cols[f] for f in COUNTER_FIELDS], axis=1))
+        assert np.array_equal(units, essential_units_rows(kind, trace.counter_rows))
+        total = float(cells["essential_total"])
+        assert (units[-1] < total) if trace.status == "stalled" else (units[-1] == total)
+        statuses.add(trace.status)
+    assert len(results) == 50 and "stalled" in statuses
 
 
 def test_ops_to_accuracy_thresholds(small_run):
@@ -679,7 +691,7 @@ def _with_meta(change):
 @pytest.mark.parametrize("edit", [
     pytest.param(None, id="no meta.json"),
     pytest.param(lambda text: text[:-5], id="not JSON"),
-    pytest.param(lambda text: text.replace("adgd-run-meta-v1", "adgd-run-meta-v0"),
+    pytest.param(lambda text: text.replace("adgd-run-meta-v2", "adgd-run-meta-v0"),
                  id="another format"),
     pytest.param(_with_cell(lambda cell: cell.update(rule={"kind": "armijo", "s": 1.2})),
                  id="rule its class rejects"),
@@ -720,6 +732,29 @@ def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(run_dir.iterdir()) == files   # no report, no plot
+
+
+def test_check_and_plot_on_a_run_directory_of_meta_format_v1_exit_2(small_run, tmp_path,
+                                                                      capsys):
+    """A directory as written before the cell CSVs kept `reused_evals`: six
+    counter columns and format v1.  One error line, not a failed reproduction."""
+    out, _, _ = small_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    meta = (out / "meta.json").read_text()
+    for cell in json.loads(meta)["cells"]:
+        lines = (out / cell["csv"]).read_text().splitlines()
+        (run_dir / cell["csv"]).write_text("".join(f"{line.rsplit(',', 1)[0]}\n"
+                                                   for line in lines))
+    (run_dir / "meta.json").write_text(meta.replace('"adgd-run-meta-v2"', '"adgd-run-meta-v1"'))
+    files = sorted(run_dir.iterdir())
+    for command in ("check", "plot"):
+        assert cli_main([command, "--run", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "adgd-run-meta-v2" in captured.err
     assert sorted(run_dir.iterdir()) == files   # no report, no plot
 
 

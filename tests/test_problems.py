@@ -80,8 +80,7 @@ def test_divergent_variant_iterate_pattern():
     # c >= 2 (for c = 1 the shrink factor sits just below one half)
     for c, x0 in [(1.0, 12.0), (2.0, 20.0)]:
         inst = make_counterexample(x0)
-        tr = run_solver(inst, BadGD(c), RunConfig(max_iter=200, grad_tol=1e-14,
-                                                  divergence_norm=1e30))
+        tr = run_solver(inst, BadGD(c), RunConfig(max_iter=200, grad_tol=1e-14))
         assert tr.status == "diverged"
         xs = tr.xs.ravel()
         blocks = 0

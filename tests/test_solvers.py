@@ -533,6 +533,17 @@ def test_run_badgd_diverges():
     assert tr.iters <= 200
 
 
+def test_run_fixed_step_too_long_diverges_at_a_finite_iterate():
+    # a rule other than the divergent variant stops once ||x|| passes 1e10,
+    # long before the iterates leave the finite numbers
+    inst = make_quadratic(64, 10, 10.0)
+    L = inst.composite.f.lipschitz
+    tr = run_solver(inst, FixedStep(10.0 / L), RunConfig(max_iter=10000, grad_tol=1e-10))
+    assert tr.status == "diverged"
+    assert np.all(np.isfinite(tr.x_final)) and np.linalg.norm(tr.x_final) > 1e10
+    assert np.all(np.isfinite(tr.xs))
+
+
 @pytest.mark.parametrize("make, rule", [
     (lambda: make_least_squares(70, 30, 12), AdGD1()),
     (lambda: make_dual_entropy(71, 15, 8), AdGD2()),
