@@ -244,51 +244,44 @@ ALPHA0_CAP = 1e8
 def _alpha0_search(comp, x0, g0, on_event):
     """Pick alpha0 with alpha0 * L_1(alpha0) in [1/sqrt(2), 2], given g0 = grad f(x0).
 
-    L_1 is measured between x0 and the point the first update would produce
-    with the candidate alpha0 (through the prox for composite problems).
-    Geometric search with factor 10, refined by log-space bisection when a
-    factor-10 jump leaps over the target window; returns ``ALPHA0_CAP`` for
-    degenerate problems whose product never reaches the window from below,
-    such as a zero g0 whose trial steps do not move.
+    Each probe takes the first step x1 with a candidate alpha0 (through the
+    prox for composite problems) and measures L_1 between x0 and x1.
+    Factor-10 steps climb while the product is below the window (a NaN
+    product climbs on) and descend otherwise (a NaN on the first probe
+    searches down); once a step leaps over the window, log-space bisection
+    between the last probes below and above it follows, a NaN counting as
+    above.  A climb ends at ``ALPHA0_CAP``: degenerate problems whose product
+    never reaches the window from below take it, such as a zero g0 whose
+    probes do not move.  Returns the last probe, which is at alpha0:
+    (alpha0, x1, grad f(x1)), the gradient None when x1 = x0.
     """
-    def product(alpha):
-        y = _step(comp, x0, g0, alpha, on_event)
-        dx = float(np.linalg.norm(y - x0))
-        if dx == 0.0:
-            return 0.0
-        g_y = _eval_gradient(comp, y, on_event)
-        return alpha * float(np.linalg.norm(g_y - g0)) / dx
-
-    def bisect(lo, hi):
-        # product(lo) < LOW < HIGH < product(hi); the window is wide enough
-        # that log-bisection lands inside it fast
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            p = product(mid)
-            if ALPHA0_LOW <= p <= ALPHA0_HIGH:
-                return mid
-            if p < ALPHA0_LOW:
-                lo = mid
-            else:
-                hi = mid
-        raise NumericalError("initial stepsize bisection failed to land in the window")
-
-    alpha = 1.0
-    p = product(alpha)
-    if ALPHA0_LOW <= p <= ALPHA0_HIGH:
-        return alpha
-    up = p < ALPHA0_LOW   # a NaN product searches down
-    for _ in range(600):
-        if alpha == ALPHA0_CAP:
-            return ALPHA0_CAP  # degenerate: product stays below the window
-        nxt = min(10.0 * alpha, ALPHA0_CAP) if up else alpha / 10.0
-        p = product(nxt)
+    lo = hi = None   # the last alphas whose products fell below and above the window
+    alpha, moves, halvings = 1.0, 0, 0
+    while True:
+        x1 = _step(comp, x0, g0, alpha, on_event)
+        dx = _norm(x1 - x0)
+        g1 = None if dx == 0.0 else _eval_gradient(comp, x1, on_event)
+        p = 0.0 if g1 is None else alpha * _norm(g1 - g0) / dx
         if ALPHA0_LOW <= p <= ALPHA0_HIGH:
-            return nxt
-        if (p > ALPHA0_HIGH) if up else (p < ALPHA0_LOW):   # leapt over the window
-            return bisect(*sorted((alpha, nxt)))
-        alpha = nxt
-    raise NumericalError("initial stepsize search failed to terminate")
+            return alpha, x1, g1
+        climbing = lo is not None and hi is None
+        if (not p > ALPHA0_HIGH) if climbing else p < ALPHA0_LOW:
+            lo = alpha
+        else:
+            hi = alpha
+        if lo is not None and hi is not None:
+            # the window is wide enough that log-bisection lands inside it fast
+            if halvings == 200:
+                raise NumericalError("initial stepsize bisection failed to land in the window")
+            halvings += 1
+            alpha = math.sqrt(lo * hi)
+        elif alpha == ALPHA0_CAP:
+            return alpha, x1, g1   # degenerate: the product stays below the window
+        else:
+            if moves == 600:
+                raise NumericalError("initial stepsize search failed to terminate")
+            moves += 1
+            alpha = min(10.0 * alpha, ALPHA0_CAP) if hi is None else alpha / 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +406,11 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         on_event("reuse")  # f(x0) work feeds the gradient at the same point
 
     searched = rule.fixed_alpha0 is None and config.alpha0 == "search"
+    x1 = g1 = None   # the search's last probe: the step at alpha_0 and grad f there
     if rule.fixed_alpha0 is not None:
         alpha0 = rule.fixed_alpha0
     elif searched:
-        alpha0 = _alpha0_search(comp, x0, g0, on_event)
+        alpha0, x1, g1 = _alpha0_search(comp, x0, g0, on_event)
     else:
         alpha0 = float(config.alpha0)
 
@@ -453,12 +447,12 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                     break
                 theta_k = alpha_k / alpha_prev
             else:
-                if k == 0:   # the first step takes alpha_0 and reports theta_0
+                if k == 0:   # alpha_0 and theta_0; a searched alpha_0's last probe took this step
                     alpha_k, theta_k = alpha0, rule.theta0
                 else:
                     alpha_k = rule.stepsize(alpha_prev, theta_prev, L_k)
                     theta_k = alpha_k / alpha_prev
-                x_next = _step(comp, x_curr, g_curr, alpha_k, on_event)
+                x_next = _step(comp, x_curr, g_curr, alpha_k, on_event) if k or x1 is None else x1
                 f_next = None
 
             # ||x_next||^2 serves the finiteness and the divergence test; it is
@@ -488,7 +482,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
             g_curr = None
             if status != "max_iter" or k == config.max_iter - 1:
                 break   # a finished run never needs the next gradient
-            g_curr = _eval_gradient(comp, x_curr, on_event)
+            g_curr = g1 if x_curr is x1 else _eval_gradient(comp, x_curr, on_event)
             if linesearch:
                 on_event("reuse")  # accepted trial's work feeds this gradient
                 f_curr = f_next

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from adgd.accounting import Counters, apply_event
 from adgd.core import process_map
 from adgd.diagnostics import (
     check_divergence_pattern,
@@ -25,7 +26,7 @@ from adgd.diagnostics import (
 from adgd.experiments import DEFAULT_ARMIJO_PAIRS, ops_to_accuracy, parse_config, run_experiment
 from adgd.problems import make_counterexample, make_quadratic
 from adgd.prox import project_l1_ball, project_nuclear_ball
-from adgd.solvers import AdGD2, Armijo, BadGD, RunConfig, run_solver
+from adgd.solvers import AdGD1, AdGD2, Armijo, BadGD, RunConfig, _alpha0_search, run_solver
 
 from oracles import FixedCurvature, l1_project_scan, nuclear_project_scan
 
@@ -295,3 +296,45 @@ def test_criterion_8_determinism(tmp_path):
     same = all((out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names)
     verdict(8, "byte-identical CSVs on rerun", same and len(names) >= 4,
             f"{len(names)} files compared")
+
+
+# ---------------------------------------------------------------------------
+# 9. no added computational cost
+# ---------------------------------------------------------------------------
+
+def _event_counts(comp, *events) -> np.ndarray:
+    """The counter row that ``events`` add on ``comp``."""
+    counters = Counters()
+    for event in events:
+        apply_event(counters, comp.g.cost, event)
+    return np.array(counters.snapshot())
+
+
+def test_criterion_9_no_added_computational_cost(request):
+    """Row 0 holds grad f(x^0) and the alpha0 probes, the last of which is step
+    0; row 1 adds one prox and its cost and no gradient, since the last probe
+    took grad f(x^1); each later row adds exactly one gradient and, with a prox
+    part, one prox and its cost; no row adds an f value or a reuse.  AdGD2 runs
+    over the 20-instance pool and AdGD1 over its 15 smooth instances."""
+    pool = request.getfixturevalue("pool")
+    traces = request.getfixturevalue("pool_traces")
+    runs = [(inst, traces[id(inst)]) for inst in pool]
+    runs += [(inst, run_solver(inst, AdGD1(), RunConfig(max_iter=300, record_trace=False)))
+             for inst in pool if not inst.composite.has_prox_part]
+    failures, n_probes = [], 0
+    for inst, trace in runs:
+        comp = inst.composite
+        probes = []
+        _alpha0_search(comp, inst.x0, comp.f.gradient(inst.x0), probes.append)
+        n_probes += probes.count("gradient")
+        prox = _event_counts(comp, *(["prox"] if comp.has_prox_part else []))
+        step = prox + _event_counts(comp, "gradient")
+        rows = trace.counter_rows
+        want = np.cumsum([_event_counts(comp, "gradient", *probes), prox,
+                          *[step] * (len(rows) - 2)], axis=0)
+        if len(rows) < 3 or not np.array_equal(rows, want):
+            failures.append(f"{inst.label} under {trace.rule_name}")
+    ok = len(runs) == 35 and not failures
+    verdict(9, "no added computational cost", ok,
+            f"{len(runs)} runs, {n_probes} probe gradients in all, the last of each at x^1"
+            + (f"; {len(failures)} off it: " + "; ".join(failures[:3]) if failures else ""))

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adgd.accounting import COUNTER_FIELDS, Counters, apply_event
+from adgd.accounting import COUNTER_FIELDS, Counters
 from adgd.core import NumericalError, SmoothFunction, composite, ProxFriendly
 from adgd.experiments import trace_csv_text
 from adgd.problems import (
+    EXPERIMENT_KINDS,
     make_counterexample,
     make_dual_entropy,
     make_least_squares,
@@ -416,7 +417,7 @@ def test_alpha0_linear_hits_cap():
     inst = Inst()
     events = []
     g0 = inst.composite.f.gradient(inst.x0)
-    assert _alpha0_search(inst.composite, inst.x0, g0, events.append) == ALPHA0_CAP
+    assert _alpha0_search(inst.composite, inst.x0, g0, events.append)[0] == ALPHA0_CAP
     assert events == ["gradient"] * 9   # probes at alpha = 1, 10, ..., 1e8, all below the window
 
 
@@ -442,10 +443,12 @@ def test_alpha0_prox_problem_lands_in_window():
 
 def test_alpha0_stationary_start_climbs_to_the_cap():
     comp = composite(half_sq(3))
-    for search in (_alpha0_search, two_loop_alpha0_search):
+    for search in (lambda *args: _alpha0_search(*args)[0], two_loop_alpha0_search):
         events = []
         assert search(comp, np.zeros(3), np.zeros(3), events.append) == ALPHA0_CAP
         assert events == []   # no trial step moves, so no probe takes a gradient
+    _, x1, g1 = _alpha0_search(comp, np.zeros(3), np.zeros(3), lambda event: None)
+    assert np.array_equal(x1, np.zeros(3)) and g1 is None
 
 
 @pytest.mark.parametrize("rule", [AdGD2(), Armijo(1.2, 0.5)], ids=["adgd2", "armijo"])
@@ -489,6 +492,9 @@ ALPHA0_CASES = {
     "leap-up-then-bisection-fails": _kinked(0.01, 1.0, 3.0),
     "leap-down-then-bisection-fails": _kinked(1.0, 100.0, 0.3),
     "nan-products": _one_dim(lambda y: 1.0 if y == 0.0 else math.nan),
+    # the product is 0.01 alpha below alpha = 50 and NaN from there on: the
+    # climb passes the NaN probes at 100, ..., 1e8 and ends at the cap
+    "nan-while-climbing": _one_dim(lambda y: 1.0 + 0.01 * y if abs(y) < 50.0 else math.nan),
     "infinite-gradient": _one_dim(lambda y: math.inf),
 }
 
@@ -508,11 +514,36 @@ def _alpha0_outcome(search, make):
 
 @pytest.mark.parametrize("case", ALPHA0_CASES)
 def test_alpha0_single_loop_matches_two_loop_search(case):
-    new, new_events = _alpha0_outcome(_alpha0_search, ALPHA0_CASES[case])
+    new, new_events = _alpha0_outcome(lambda *args: _alpha0_search(*args)[0],
+                                      ALPHA0_CASES[case])
     old, old_events = _alpha0_outcome(two_loop_alpha0_search, ALPHA0_CASES[case])
     assert new == old
     assert new_events == old_events
     assert new_events   # every search probes at least once
+
+
+@pytest.mark.parametrize("kind, seed, scale, max_iter", [
+    *((kind, seed, "desk", 100) for kind in EXPERIMENT_KINDS for seed in (1, 2)),
+    ("mle", 1, "paper", 30),
+])
+def test_searched_run_is_a_function_of_problem_rule_and_alpha0(kind, seed, scale, max_iter):
+    """A searched alpha0 and the same alpha0 given explicitly write the same
+    float columns; from row 1 on, the searched run's counters are ahead by its
+    probes less the step and the gradient its last probe took for it."""
+    inst = make_problem(kind, seed, scale)
+    searched = run_solver(inst, AdGD2(), RunConfig(max_iter=max_iter, record_trace=False))
+    given = run_solver(inst, AdGD2(), RunConfig(max_iter=max_iter, alpha0=searched.alpha0,
+                                                record_trace=False))
+    assert searched.alpha0_searched and not given.alpha0_searched
+
+    def float_columns(trace):
+        return [line.split(",")[:6] for line in trace_csv_text(trace).splitlines()]
+
+    assert float_columns(searched) == float_columns(given)
+    ahead = searched.counter_rows - given.counter_rows
+    one_gradient = np.array(Counters(grad_evals=1).snapshot())
+    assert len(ahead) > 1
+    assert np.array_equal(ahead[1:], np.tile(ahead[0] - one_gradient, (len(ahead) - 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -686,41 +717,6 @@ def test_run_evaluates_f_and_g_once_at_x0(kind, decomposition, rule, monkeypatch
     trace = run_solver(twin, rule, RunConfig(max_iter=30, grad_tol=1e-12))
     assert at_x0 == {"f": 1, "g": 1}
     assert len(calls) - trace.counters.svd_count == 1   # the prox counts its SVDs
-
-
-def _step_counts(comp) -> np.ndarray:
-    """What one AdGD1/AdGD2 step counts: a gradient, and with a prox part one
-    prox and that part's cost."""
-    step = Counters(grad_evals=1)
-    if comp.has_prox_part:
-        apply_event(step, comp.g.cost, "prox")
-    return np.array(step.snapshot())
-
-
-def _alpha0_probe_counts(inst) -> np.ndarray:
-    """What the initial stepsize search counts on its own."""
-    comp = inst.composite
-    probes = Counters()
-    _alpha0_search(comp, inst.x0, comp.f.gradient(inst.x0),
-                   lambda event: apply_event(probes, comp.g.cost, event))
-    return np.array(probes.snapshot())
-
-
-def test_adaptive_steps_add_no_computational_cost(pool, pool_traces):
-    """No added computational cost: past row 0, each AdGD2 step on the 20-instance
-    pool and each AdGD1 step on its 15 smooth instances adds exactly one gradient
-    and, with a prox part, one prox and its cost; never an f value or a reuse.
-    Row 0 is the gradient at x0, the alpha0 probes and the first step."""
-    runs = [(inst, pool_traces[id(inst)]) for inst in pool]
-    runs += [(inst, run_solver(inst, AdGD1(), RunConfig(max_iter=300, record_trace=False)))
-             for inst in pool if not inst.composite.has_prox_part]
-    assert len(runs) == 35
-    for inst, trace in runs:
-        step = _step_counts(inst.composite)
-        rows = trace.counter_rows
-        assert len(rows) > 1
-        assert np.array_equal(np.diff(rows, axis=0), np.tile(step, (len(rows) - 1, 1)))
-        assert np.array_equal(rows[0], _alpha0_probe_counts(inst) + step)
 
 
 def test_run_rejects_wrong_rule_for_prox():
