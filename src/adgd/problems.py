@@ -226,7 +226,11 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
     minimizer shares Y's eigenvectors: X* = Q diag(clip(1/lambda_i, l, u)) Q'
     for Y = Q diag(lambda) Q', with lambda_i <= 1/u mapped to u.  At the box's
     last prox output, log det X and X^-1 come from the prox's eigenvalues, and
-    the gradient there arms the box's warm start (see ``SpectralBox``).
+    the gradient there arms the box's warm start (see ``SpectralBox``).  x^0
+    commutes with Y, and a gradient step and the box projection both keep
+    Y's eigenbasis, so every prox input of a run is diagonal, up to rounding,
+    in the basis its first factorization returned: that basis certifies and
+    serves the run, and LAPACK factors about once per run.
     """
     if n < 1 or not (0 < l < u) or M < 1:
         raise ValueError("require n >= 1, 0 < l < u and M >= 1")

@@ -2,8 +2,8 @@
 
 Every projection here is the exact Euclidean projection to working precision,
 so it is idempotent and nonexpansive up to rounding.  For the spectral box that
-precision is certified: a factorization refined from a warm basis is kept only
-under an explicit a-posteriori bound, else LAPACK factors the input.
+precision is certified: a warm basis, the eigenbasis of the last factorization,
+is kept only under an explicit a-posteriori bound, else LAPACK factors the input.
 Indicator-function prox maps ignore the stepsize.  Each factory (and
 ``SpectralBox.indicator``) returns a :class:`~adgd.core.ProxFriendly` whose
 ``cost`` declares the essential operations one application triggers (one
@@ -78,15 +78,15 @@ def project_spectral_box(Z: np.ndarray, l: float, u: float) -> np.ndarray:
     The input is symmetrized first; asymmetry beyond 1e-8 relative is an
     error, since that indicates corrupted data rather than rounding noise.
     """
-    _, Q, c = _eigh_clip(np.asarray(Z, dtype=np.float64), l, u)
+    Q, c = _eigh_clip(np.asarray(Z, dtype=np.float64), l, u)
     return (Q * c) @ Q.T
 
 
 def _eigh_clip(Z: np.ndarray, l: float, u: float, warm=None):
-    """(w, Q, c) with Z = Q diag(w) Q' and its box projection Q diag(c) Q'.
+    """(Q, c) with Z = Q diag(w) Q' and its box projection Q diag(c) Q'.
 
-    ``warm``, an approximate eigenbasis of Z, is refined by ``refine_eigh``;
-    without one, or when the refinement does not certify, LAPACK factors Z.
+    ``warm``, an eigenbasis offered for Z, is kept when ``certify_eigh``
+    passes it; without one, or when it does not certify, LAPACK factors Z.
     """
     if not (0 < l < u):
         raise ValueError("spectral box requires 0 < l < u")
@@ -95,65 +95,31 @@ def _eigh_clip(Z: np.ndarray, l: float, u: float, warm=None):
         raise ValueError(f"input is not symmetric (asymmetry {asym:.3e})")
     Zs = 0.5 * (Z + Z.T)
     # a NaN or an inf anywhere in Z makes asym NaN or inf
-    found = refine_eigh(Zs, warm) if warm is not None and asym < np.inf else None
+    found = certify_eigh(Zs, warm) if warm is not None and asym < np.inf else None
     w, Q = np.linalg.eigh(Zs) if found is None else found
-    return w, Q, np.clip(w, l, u)
+    return Q, np.clip(w, l, u)
 
 
 EPS = np.finfo(np.float64).eps
-# the refinement's certificate: max|Q'Q - I| and max|Z Q - Q diag(w)| / max|w|
-# both at most CERT_TOL * n * eps
+# the certificate: max|Q'Q - I| and max|Z Q - Q diag(w)| / max|w| both at
+# most CERT_TOL * n * eps
 CERT_TOL = 8.0
 
 
-def _distinct(w: np.ndarray) -> bool:
-    """Whether the values w are pairwise farther apart than the certificate's
-    tolerance times max|w|; False when one is NaN."""
-    ws = np.sort(w)
-    gap = (ws[1:] - ws[:-1]).min(initial=np.inf)
-    return bool(gap > CERT_TOL * w.size * EPS * max(-ws[0], ws[-1]))
+def certify_eigh(Z: np.ndarray, Q: np.ndarray):
+    """Eigenpairs (w, Q) of symmetric Z from the basis Q, with w its Rayleigh
+    quotients, or None when they do not certify.
 
-
-def refine_eigh(Z: np.ndarray, Q: np.ndarray):
-    """Eigenpairs (w, Q) of symmetric Z refined from an approximate eigenbasis
-    Q, or None when they do not certify.
-
-    A step of Ogita and Aishima's refinement (JJIAM 35, 2018) corrects Q by
-    Q E and leaves an error of about max|E|^2.  So a second step follows when
-    the first had max|E| > eps^(1/2), and a step with max|E| > eps^(1/4),
-    which two steps cannot bring to rounding level, gives up.  A Newton-Schulz
-    polar step Q (3I - Q'Q) / 2 follows, then the certificate.  Ritz values
-    that are not ``_distinct``, repeated eigenvalues among them, are left to
-    LAPACK.  Every test fails on NaN.
+    The certificate bounds the backward error of Q diag(w) Q' as a
+    factorization of Z, and the box projection is 1-Lipschitz, so it needs no
+    eigenvalue gaps: repeated eigenvalues certify too.  Every test fails on NaN.
     """
     n = Z.shape[0]
     tol = CERT_TOL * n * EPS
-    diag = slice(None, None, n + 1)
-    for _ in range(2):
-        ZQ = Z @ Q
-        G = Q.T @ Q
-        S = Q.T @ ZQ
-        w = S.diagonal() / G.diagonal()
-        if not _distinct(w):
-            return None
-        gaps = w - w[:, None]            # w_j - w_i
-        gaps.flat[diag] = 1.0
-        E = (S - w * G) / gaps           # (s_ij + w_j r_ij) / (w_j - w_i), R = I - Q'Q
-        E.flat[diag] = 0.5 * (1.0 - G.diagonal())
-        step = abs(E).max()
-        if not step <= EPS ** 0.25:
-            return None
-        Q = Q + Q @ E
-        if step <= EPS ** 0.5:
-            break
-    P = Q.T @ Q
-    P *= -0.5
-    P.flat[diag] += 1.5
-    Q = Q @ P
     ZQ = Z @ Q
     G = Q.T @ Q
     w = np.einsum("ij,ij->j", Q, ZQ) / G.diagonal()
-    G.flat[diag] -= 1.0
+    G.flat[::n + 1] -= 1.0
     if abs(G).max() <= tol and abs(ZQ - Q * w).max() <= tol * abs(w).max() < np.inf:
         return w, Q
     return None
@@ -218,28 +184,29 @@ class SpectralBox:
     X = Q diag(c) Q': ``value`` is 0 there with no decomposition, and a smooth
     part may reuse ``Q`` and ``c``.  Other points, copies too, get the full test.
 
-    ``arm(x)`` tells whether ``x`` is the last prox output.  If it is, and
-    the eigenvalues w behind ``c`` are ``_distinct``, that ``Q`` becomes the
-    warm basis of the following prox calls; else LAPACK factors them anew.  A
-    smooth part calls it from its gradient: every step starts with the
-    gradient at its point, and every run with the gradient at a fresh copy of
-    x^0, so a warm basis never outlives its run.
+    ``arm(x)`` tells whether ``x`` is the last prox output.  If it is, that
+    ``Q`` becomes the warm basis of the following prox calls, and each keeps
+    it only if ``certify_eigh`` passes it; else LAPACK factors them anew.  So
+    a basis that keeps certifying serves every later prox unchanged.  A smooth
+    part calls ``arm`` from its gradient: every step starts with the gradient
+    at its point, and every run with the gradient at a fresh copy of x^0, so a
+    warm basis never outlives its run.
     """
 
     def __init__(self, n: int, l: float, u: float):
         self.n, self.l, self.u = n, l, u
-        self.x = self.w = self.Q = self.c = self.warm = None
+        self.x = self.Q = self.c = self.warm = None
 
     def arm(self, x) -> bool:
         at_x = x is self.x
-        self.warm = self.Q if at_x and _distinct(self.w) else None
+        self.warm = self.Q if at_x else None
         return at_x
 
     def prox(self, alpha, z):
-        w, Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, self.warm)
+        Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, self.warm)
         x = ((Q * c) @ Q.T).ravel()
         x.flags.writeable = False
-        self.x, self.w, self.Q, self.c = x, w, Q, c
+        self.x, self.Q, self.c = x, Q, c
         return x
 
     def value(self, x):

@@ -241,6 +241,7 @@ ALPHA0_HIGH = 2.0
 ALPHA0_CAP = 1e8
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the run loop's error state
 def _alpha0_search(comp, x0, g0, on_event):
     """Pick alpha0 with alpha0 * L_1(alpha0) in [1/sqrt(2), 2], given g0 = grad f(x0).
 
@@ -250,18 +251,24 @@ def _alpha0_search(comp, x0, g0, on_event):
     product climbs on) and descend otherwise (a NaN on the first probe
     searches down); once a step leaps over the window, log-space bisection
     between the last probes below and above it follows, a NaN counting as
-    above.  A climb ends at ``ALPHA0_CAP``: degenerate problems whose product
-    never reaches the window from below take it, such as a zero g0 whose
-    probes do not move.  Returns the last probe, which is at alpha0:
-    (alpha0, x1, grad f(x1)), the gradient None when x1 = x0.
+    above.  A probe whose gradient raises ``NumericalError`` (an overflow in
+    f, say) has a NaN product.  A climb ends at ``ALPHA0_CAP``: degenerate
+    problems whose product never reaches the window from below take it, such
+    as a zero g0 whose probes do not move.  Returns the last probe, which is at
+    alpha0: (alpha0, x1, grad f(x1)), the gradient None when x1 = x0, and both
+    None when that probe's gradient raised.
     """
     lo = hi = None   # the last alphas whose products fell below and above the window
     alpha, moves, halvings = 1.0, 0, 0
     while True:
         x1 = _step(comp, x0, g0, alpha, on_event)
         dx = _norm(x1 - x0)
-        g1 = None if dx == 0.0 else _eval_gradient(comp, x1, on_event)
-        p = 0.0 if g1 is None else alpha * _norm(g1 - g0) / dx
+        try:
+            g1 = None if dx == 0.0 else _eval_gradient(comp, x1, on_event)
+            p = 0.0 if g1 is None else alpha * _norm(g1 - g0) / dx
+        except NumericalError:   # at the cap, this probe is returned without x1
+            x1 = g1 = None
+            p = math.nan
         if ALPHA0_LOW <= p <= ALPHA0_HIGH:
             return alpha, x1, g1
         climbing = lo is not None and hi is None

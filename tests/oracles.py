@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared by unit and acceptance tests."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,14 @@ class FixedCurvature(AdGD2):
 
     def stepsize(self, alpha_prev: float, theta_prev: float, L: float) -> float:
         return super().stepsize(alpha_prev, theta_prev, self.L)
+
+
+def with_f_scaled(inst, c):
+    """``inst`` with f scaled by c; its prox part is kept as it is."""
+    f = inst.composite.f
+    fc = dataclasses.replace(f, value=lambda x: c * f.value(x),
+                             gradient=lambda x: c * f.gradient(x))
+    return dataclasses.replace(inst, composite=dataclasses.replace(inst.composite, f=fc))
 
 
 def as_point(x) -> np.ndarray:

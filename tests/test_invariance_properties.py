@@ -9,7 +9,6 @@ iterates, the iteration count and the status all match.  Every prox part here
 is an indicator or zero, so c g = g and its prox ignores the step.
 """
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -18,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from adgd.problems import KINDS, make_problem
 from adgd.solvers import AdGD1, AdGD2, Armijo, OldAdGD, RunConfig, run_solver
+
+from oracles import with_f_scaled
 
 PROPERTY_SETTINGS = settings(max_examples=5, deadline=None, derandomize=True, database=None)
 STEPS = 60
@@ -34,13 +35,6 @@ def _instance(kind, seed):
     return inst, run_solver(inst, AdGD2(), RunConfig(max_iter=1)).alpha0
 
 
-def _scaled(inst, c):
-    f = inst.composite.f
-    fc = dataclasses.replace(f, value=lambda x: c * f.value(x),
-                             gradient=lambda x: c * f.gradient(x))
-    return dataclasses.replace(inst, composite=dataclasses.replace(inst.composite, f=fc))
-
-
 CASES = [(rule, kind) for rule in (AdGD2(), Armijo(1.2, 0.5)) for kind in NON_TOY] + \
     [(rule, kind) for rule in (AdGD1(), OldAdGD()) for kind in SMOOTH]
 
@@ -54,7 +48,7 @@ def test_runs_are_equivariant_under_power_of_two_scaling(rule, kind):
         c = 2.0 ** j
         base = run_solver(inst, rule, RunConfig(max_iter=STEPS, grad_tol=GRAD_TOL,
                                                 alpha0=alpha0, record_trace=False))
-        scaled = run_solver(_scaled(inst, c), rule,
+        scaled = run_solver(with_f_scaled(inst, c), rule,
                             RunConfig(max_iter=STEPS, grad_tol=c * GRAD_TOL, alpha0=alpha0 / c,
                                       record_trace=False))
         assert (scaled.iters, scaled.status) == (base.iters, base.status)

@@ -6,10 +6,9 @@ import adgd.prox
 from adgd.core import NumericalError, zero_prox_friendly
 from adgd.problems import make_problem
 from adgd.prox import (
-    CERT_TOL,
-    EPS,
     SpectralBox,
     affine_indicator,
+    certify_eigh,
     nonneg_indicator,
     nuclear_ball_indicator,
     project_affine,
@@ -17,7 +16,6 @@ from adgd.prox import (
     project_nonneg,
     project_nuclear_ball,
     project_spectral_box,
-    refine_eigh,
 )
 
 
@@ -171,31 +169,48 @@ def test_spectral_box_warm_start_that_does_not_certify_is_lapack_bit_for_bit():
     Z = 4.0 * (M + M.T)
     repeated = (V * [0.05, 2.0, 2.0, 2.0, 7.0, 20.0]) @ V.T
     repeated = 0.5 * (repeated + repeated.T)
-    for Z, basis in ((Z, V),                                         # unrelated basis
-                     (repeated, np.linalg.eigh(repeated)[1]),        # its own basis
-                     (repeated, V)):                                 # the exact one
-        assert refine_eigh(0.5 * (Z + Z.T), basis) is None
+    for Z, basis in ((Z, V),                      # unrelated basis
+                     (repeated, 2.0 * V)):        # the exact one, scaled: Q'Q = 4 I
+        assert certify_eigh(0.5 * (Z + Z.T), basis) is None
         assert np.array_equal(_warm_prox(Z, basis), project_spectral_box(Z, 0.1, 10.0))
 
 
+def test_spectral_box_warm_start_certifies_a_repeated_spectrum():
+    # the certificate bounds the backward error and the projection is
+    # 1-Lipschitz, so a repeated eigenvalue needs no gap to certify
+    rng = np.random.default_rng(17)
+    V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    repeated = (V * [0.05, 2.0, 2.0, 2.0, 7.0, 20.0]) @ V.T
+    repeated = 0.5 * (repeated + repeated.T)
+    ref = project_spectral_box(repeated, 0.1, 10.0)
+    for basis in (np.linalg.eigh(repeated)[1], V):   # its own basis, the exact one
+        assert certify_eigh(repeated, basis) is not None
+        out = _warm_prox(repeated, basis)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.max(np.abs(repeated)))
+        w = np.linalg.eigvalsh(out)
+        assert w[0] >= 0.1 - 1e-12 and w[-1] <= 10.0 + 1e-12
+
+
 def test_spectral_box_warm_start_certifies_near_its_basis():
+    # the exact eigenbasis certifies; one perturbed by 1e-6 does not, and the
+    # prox is then LAPACK's bit for bit
     rng = np.random.default_rng(18)
     V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     Z = (V * np.linspace(-3.0, 14.0, 8)) @ V.T
     Z = 0.5 * (Z + Z.T)
+    w, Q = certify_eigh(Z, V)
+    assert Q is V
+    assert np.allclose(w, np.linspace(-3.0, 14.0, 8), rtol=0, atol=1e-13)
     M = rng.normal(size=(8, 8))
     basis = np.linalg.eigh(Z + 1e-6 * (M + M.T))[1]
-    w, Q = refine_eigh(Z, basis)
-    assert np.max(np.abs(Q.T @ Q - np.eye(8))) <= CERT_TOL * 8 * EPS
-    assert np.allclose(np.sort(w), np.linspace(-3.0, 14.0, 8), rtol=0, atol=1e-13)
-    ref = project_spectral_box(Z, 0.1, 10.0)
-    assert np.max(np.abs(_warm_prox(Z, basis) - ref)) <= 1e-12 * (1.0 + np.max(np.abs(Z)))
+    assert certify_eigh(Z, basis) is None
+    assert np.array_equal(_warm_prox(Z, basis), project_spectral_box(Z, 0.1, 10.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectral_box_non_finite_input_takes_the_lapack_path(monkeypatch, bad):
     calls = []
-    monkeypatch.setattr(adgd.prox, "refine_eigh", lambda *a: calls.append(a))
+    monkeypatch.setattr(adgd.prox, "certify_eigh", lambda *a: calls.append(a))
     rng = np.random.default_rng(19)
     M = rng.normal(size=(5, 5))
     Z = M + M.T
@@ -216,7 +231,7 @@ def test_spectral_box_non_finite_input_takes_the_lapack_path(monkeypatch, bad):
         assert np.array_equal(warm, cold, equal_nan=not isinstance(cold, str))
     Z[2, 2] = 1.0
     _warm_prox(Z, basis)
-    assert len(calls) == 1   # the finite input alone is offered to the refinement
+    assert len(calls) == 1   # the finite input alone is offered to the certificate
 
 
 # ---------------------------------------------------------------------------

@@ -90,18 +90,18 @@ def test_projection_properties(sets):
 
 
 def test_warm_started_spectral_box_properties(monkeypatch):
-    """The box prox refined from the eigenbasis of a perturbed input, Z + eps E
+    """The box prox offered the eigenbasis of a perturbed input, Z + eps E
     with eps up to 1e-2 relative, is a projection, and it agrees with the
-    LAPACK path within 1e-12 * scale whether or not the refinement certified."""
+    LAPACK path within 1e-12 * scale whether or not the basis certified."""
     certified = []
-    refine = adgd.prox.refine_eigh
+    certify = adgd.prox.certify_eigh
 
     def counted(Z, Q):
-        found = refine(Z, Q)
+        found = certify(Z, Q)
         certified.append(found is not None)
         return found
 
-    monkeypatch.setattr(adgd.prox, "refine_eigh", counted)
+    monkeypatch.setattr(adgd.prox, "certify_eigh", counted)
 
     @PROPERTY_SETTINGS
     @given(st.integers(1, 8), st.floats(1e-3, 10.0), st.floats(1e-3, 100.0),
@@ -110,7 +110,6 @@ def test_warm_started_spectral_box_properties(monkeypatch):
     def check(n, l, width, eps, seed, data):
         rng = np.random.default_rng(seed)
         box = SpectralBox(n, l, l + width)
-        # mostly well separated spectra, so that the refinement is exercised
         points = [rng.normal(size=(n, n)) * 10.0 ** data.draw(st.integers(-2, 3))
                   for _ in range(3)]
         points = [0.5 * (p + p.T) for p in points]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +38,7 @@ from adgd.solvers import (
 )
 
 from oracles import (FixedCurvature, curvature_estimate, recover_subgradient,
-                     two_loop_alpha0_search)
+                     two_loop_alpha0_search, with_f_scaled)
 
 SQ2 = math.sqrt(2.0)
 
@@ -522,6 +523,29 @@ def test_alpha0_single_loop_matches_two_loop_search(case):
     assert new_events   # every search probes at least once
 
 
+@pytest.mark.parametrize("make, alpha0", [
+    # d @ d overflows in the search's _norm, which rescales on purpose
+    (lambda: instance(composite(half_sq(scale=1e80)), [1.0]), 1.0000000000000005e-80),
+    (lambda: with_f_scaled(make_problem("dual_entropy", 3), 2.0 ** 7), 0.001),
+], ids=["quadratic-L1e80", "dual_entropy-3-x2^7"])
+def test_alpha0_search_runs_in_the_loops_error_state(make, alpha0):
+    # alpha0 is the one the search picked when it still warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_solver(make(), AdGD2(), RunConfig(max_iter=2))
+    assert trace.alpha0 == alpha0
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("j", [10, 13, 16, 19])
+def test_alpha0_probe_whose_gradient_raises_counts_as_nan(seed, j):
+    # desk dual_entropy scaled by 2^j overflows its dual objective at the
+    # search's first probe; the search descends past it to the window
+    trace = run_solver(with_f_scaled(make_problem("dual_entropy", seed), 2.0 ** j), AdGD2(),
+                       RunConfig(max_iter=2))
+    assert 1 / SQ2 <= trace.alpha0 * trace.curvatures[1] <= 2.0
+
+
 @pytest.mark.parametrize("kind, seed, scale, max_iter", [
     *((kind, seed, "desk", 100) for kind in EXPERIMENT_KINDS for seed in (1, 2)),
     ("mle", 1, "paper", 30),
@@ -750,7 +774,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("rule", [AdGD2(), Armijo(1.2, 0.5)], ids=["adgd2", "armijo"])
 def test_mle_runs_on_one_instance_do_not_share_a_warm_start(rule):
-    # a run refines only bases of its own factorizations: rerunning an
+    # a run is offered only bases of its own factorizations: rerunning an
     # instance, after a run of another rule on it, writes the same CSV as a
     # run on a freshly built instance
     cfg = RunConfig(max_iter=60, alpha0="search", record_trace=False)
@@ -763,12 +787,14 @@ def test_mle_runs_on_one_instance_do_not_share_a_warm_start(rule):
     assert first == again == fresh
 
 
-@pytest.mark.parametrize("rule,max_iter", [(AdGD2(), 300), (Armijo(1.2, 0.5), 100)],
-                         ids=["adgd2", "armijo"])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_mle_warm_prox_outputs_match_lapack(monkeypatch, seed, rule, max_iter):
+@pytest.mark.parametrize("scale,seed,rule,max_iter", [
+    *(("desk", seed, rule, max_iter) for seed in (1, 2)
+      for rule, max_iter in ((AdGD2(), 300), (Armijo(1.2, 0.5), 100))),
+    ("paper", 1, AdGD2(), 30),
+], ids=["1-adgd2", "1-armijo", "2-adgd2", "2-armijo", "paper-1-adgd2"])
+def test_mle_warm_prox_outputs_match_lapack(monkeypatch, scale, seed, rule, max_iter):
     gaps, certified = [], []
-    prox, refine = SpectralBox.prox, adgd.prox.refine_eigh
+    prox, certify = SpectralBox.prox, adgd.prox.certify_eigh
 
     def checked_prox(box, alpha, z):
         x = prox(box, alpha, z)
@@ -776,14 +802,14 @@ def test_mle_warm_prox_outputs_match_lapack(monkeypatch, seed, rule, max_iter):
         gaps.append(np.max(np.abs(x - ref)) / (1.0 + np.max(np.abs(z))))
         return x
 
-    def counted_refine(Z, Q):
-        found = refine(Z, Q)
+    def counted_certify(Z, Q):
+        found = certify(Z, Q)
         certified.append(found is not None)
         return found
 
     monkeypatch.setattr(SpectralBox, "prox", checked_prox)   # before the box is built
-    monkeypatch.setattr(adgd.prox, "refine_eigh", counted_refine)
-    trace = run_solver(make_problem("mle", seed), rule,
+    monkeypatch.setattr(adgd.prox, "certify_eigh", counted_certify)
+    trace = run_solver(make_problem("mle", seed, scale), rule,
                        RunConfig(max_iter=max_iter, record_rows=False, record_trace=False))
     assert trace.iters == max_iter
     assert max(gaps) <= 1e-12
