@@ -255,7 +255,9 @@ def make_mle(seed: int, n: int, l: float = 0.1, u: float = 10.0, M: int = 50) ->
 
     def gradient(x):
         Xi = (box.Q / box.c) @ box.Q.T if box.arm(x) else np.linalg.inv(x.reshape(n, n))
-        return (Y - 0.5 * (Xi + Xi.T)).ravel()
+        S = Xi + Xi.T
+        S *= 0.5
+        return np.subtract(Y, S, out=S).ravel()
 
     f = SmoothFunction(
         dimension=n * n,

@@ -4,6 +4,8 @@ Every projection here is the exact Euclidean projection to working precision,
 so it is idempotent and nonexpansive up to rounding.  For the spectral box that
 precision is certified: a warm basis, the eigenbasis of the last factorization,
 is kept only under an explicit a-posteriori bound, else LAPACK factors the input.
+The bound's orthogonality half depends on the basis alone, so ``SpectralBox``
+tests it once per basis and keeps diag(Q'Q) for the other half.
 Indicator-function prox maps ignore the stepsize.  Each factory (and
 ``SpectralBox.indicator``) returns a :class:`~adgd.core.ProxFriendly` whose
 ``cost`` declares the essential operations one application triggers (one
@@ -85,17 +87,21 @@ def project_spectral_box(Z: np.ndarray, l: float, u: float) -> np.ndarray:
 def _eigh_clip(Z: np.ndarray, l: float, u: float, warm=None):
     """(Q, c) with Z = Q diag(w) Q' and its box projection Q diag(c) Q'.
 
-    ``warm``, an eigenbasis offered for Z, is kept when ``certify_eigh``
-    passes it; without one, or when it does not certify, LAPACK factors Z.
+    ``warm``, a pair (Q, diag(Q'Q)) of a basis offered for Z that passed
+    ``orthonormal_diag``, is kept when ``certify_eigh`` passes it; without
+    one, or when it does not certify, LAPACK factors Z.
     """
     if not (0 < l < u):
         raise ValueError("spectral box requires 0 < l < u")
-    asym = np.max(np.abs(Z - Z.T))
-    if asym > 1e-8 * (1.0 + np.max(np.abs(Z))):
+    D = Z - Z.T
+    asym = np.abs(D, out=D).max()
+    # 1e-8 * (1 + max|Z|) is at least 1e-8, so below that the scale cannot matter
+    if asym > 1e-8 and asym > 1e-8 * (1.0 + np.max(np.abs(Z))):
         raise ValueError(f"input is not symmetric (asymmetry {asym:.3e})")
-    Zs = 0.5 * (Z + Z.T)
+    Zs = Z + Z.T
+    Zs *= 0.5
     # a NaN or an inf anywhere in Z makes asym NaN or inf
-    found = certify_eigh(Zs, warm) if warm is not None and asym < np.inf else None
+    found = certify_eigh(Zs, *warm) if warm is not None and asym < np.inf else None
     w, Q = np.linalg.eigh(Zs) if found is None else found
     return Q, np.clip(w, l, u)
 
@@ -106,21 +112,35 @@ EPS = np.finfo(np.float64).eps
 CERT_TOL = 8.0
 
 
-def certify_eigh(Z: np.ndarray, Q: np.ndarray):
+def orthonormal_diag(Q: np.ndarray):
+    """diag(Q'Q) when the orthogonality half of the certificate,
+    max|Q'Q - I| <= CERT_TOL * n * eps, passes Q, else None (also on NaN)."""
+    n = Q.shape[0]
+    G = Q.T @ Q
+    d = G.diagonal().copy()
+    G.flat[::n + 1] -= 1.0
+    return d if abs(G).max() <= CERT_TOL * n * EPS else None
+
+
+def certify_eigh(Z: np.ndarray, Q: np.ndarray, gram_diag=None):
     """Eigenpairs (w, Q) of symmetric Z from the basis Q, with w its Rayleigh
     quotients, or None when they do not certify.
 
+    ``gram_diag``, diag(Q'Q) as ``orthonormal_diag(Q)`` returned it, skips the
+    orthogonality half, which depends on Q alone; without it Q is tested here.
     The certificate bounds the backward error of Q diag(w) Q' as a
     factorization of Z, and the box projection is 1-Lipschitz, so it needs no
     eigenvalue gaps: repeated eigenvalues certify too.  Every test fails on NaN.
     """
-    n = Z.shape[0]
-    tol = CERT_TOL * n * EPS
+    if gram_diag is None:
+        gram_diag = orthonormal_diag(Q)
+        if gram_diag is None:
+            return None
+    tol = CERT_TOL * Z.shape[0] * EPS
     ZQ = Z @ Q
-    G = Q.T @ Q
-    w = np.einsum("ij,ij->j", Q, ZQ) / G.diagonal()
-    G.flat[::n + 1] -= 1.0
-    if abs(G).max() <= tol and abs(ZQ - Q * w).max() <= tol * abs(w).max() < np.inf:
+    w = np.einsum("ij,ij->j", Q, ZQ) / gram_diag
+    ZQ -= Q * w
+    if np.abs(ZQ, out=ZQ).max() <= tol * abs(w).max() < np.inf:
         return w, Q
     return None
 
@@ -180,14 +200,18 @@ def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
 class SpectralBox:
     """Indicator of {X symmetric : l I <= X <= u I} on row-major flattened X.
 
-    The last prox output ``x`` is read-only and kept with its factorization
-    X = Q diag(c) Q': ``value`` is 0 there with no decomposition, and a smooth
-    part may reuse ``Q`` and ``c``.  Other points, copies too, get the full test.
+    The last prox output ``x`` is kept with its factorization X = Q diag(c) Q',
+    all three read-only (a basis a caller offered through ``warm`` becomes
+    read-only when the box keeps it): ``value`` is 0 there with no
+    decomposition, and a smooth part may reuse ``Q`` and ``c``.  Other points,
+    copies too, get the full test.
 
     ``arm(x)`` tells whether ``x`` is the last prox output.  If it is, that
     ``Q`` becomes the warm basis of the following prox calls, and each keeps
     it only if ``certify_eigh`` passes it; else LAPACK factors them anew.  So
-    a basis that keeps certifying serves every later prox unchanged.  A smooth
+    a basis that keeps certifying serves every later prox unchanged.  Its
+    orthogonality is tested once: the box keeps diag(Q'Q) of its last basis
+    that passed, keyed on the basis object, which is read-only.  A smooth
     part calls ``arm`` from its gradient: every step starts with the gradient
     at its point, and every run with the gradient at a fresh copy of x^0, so a
     warm basis never outlives its run.
@@ -196,16 +220,33 @@ class SpectralBox:
     def __init__(self, n: int, l: float, u: float):
         self.n, self.l, self.u = n, l, u
         self.x = self.Q = self.c = self.warm = None
+        self._gram = None   # (Q, diag(Q'Q)) of the box's last basis that passed
 
     def arm(self, x) -> bool:
         at_x = x is self.x
         self.warm = self.Q if at_x else None
         return at_x
 
+    def _offer(self):
+        """(warm, diag(warm'warm)), or None without a warm basis or when it fails
+        the orthogonality test, which each of the box's own bases takes once."""
+        warm = self.warm
+        if warm is None:
+            return None
+        if self._gram is not None and warm is self._gram[0]:
+            return self._gram
+        d = orthonormal_diag(warm)
+        if d is None:
+            return None
+        if warm is self.Q:
+            self._gram = (warm, d)
+        return warm, d
+
     def prox(self, alpha, z):
-        Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, self.warm)
+        Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, self._offer())
         x = ((Q * c) @ Q.T).ravel()
-        x.flags.writeable = False
+        for a in (x, Q, c):
+            a.flags.writeable = False
         self.x, self.Q, self.c = x, Q, c
         return x
 

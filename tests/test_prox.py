@@ -17,6 +17,7 @@ from adgd.prox import (
     project_nuclear_ball,
     project_spectral_box,
 )
+from adgd.solvers import AdGD2, RunConfig, run_solver
 
 
 def l1_project_oracle(v, r):
@@ -232,6 +233,94 @@ def test_spectral_box_non_finite_input_takes_the_lapack_path(monkeypatch, bad):
     Z[2, 2] = 1.0
     _warm_prox(Z, basis)
     assert len(calls) == 1   # the finite input alone is offered to the certificate
+
+
+def _counted_gram(monkeypatch):
+    """The bases whose orthogonality is tested (``orthonormal_diag``), in order."""
+    tested, gram = [], adgd.prox.orthonormal_diag
+    monkeypatch.setattr(adgd.prox, "orthonormal_diag", lambda Q: tested.append(Q) or gram(Q))
+    return tested
+
+
+def test_spectral_box_never_keeps_a_basis_that_fails_orthogonality(monkeypatch):
+    # 2 V fails the orthogonality half (Q'Q = 4 I): each offer tests it again,
+    # and each prox is LAPACK's bit for bit
+    tested = _counted_gram(monkeypatch)
+    rng = np.random.default_rng(17)
+    V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    Z = (V * [0.05, 2.0, 3.0, 4.0, 7.0, 20.0]) @ V.T
+    Z = 0.5 * (Z + Z.T)
+    ref = project_spectral_box(Z, 0.1, 10.0)
+    box, bad = SpectralBox(6, 0.1, 10.0), 2.0 * V
+    for k in range(3):
+        box.warm = bad
+        assert np.array_equal(box.prox(1.0, Z.ravel()).reshape(6, 6), ref)
+        assert len(tested) == k + 1 and tested[-1] is bad and box.Q is not bad
+
+
+def test_spectral_box_factorization_is_read_only():
+    # the box keys its kept diag(Q'Q) on the basis object, so Q and c, like x,
+    # cannot be written; the basis is LAPACK's, kept by the certified prox
+    box = SpectralBox(4, 0.1, 10.0)
+    z = _sym_gauss(4)(np.random.default_rng(20))
+    x = box.prox(1.0, z)
+    Q = box.Q
+    box.arm(x)
+    box.prox(1.0, z)
+    assert box.Q is Q   # the second prox kept the first one's basis
+    for a in (box.x, box.Q, box.c):
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_spectral_box_tests_a_basis_set_from_outside_on_every_offer(monkeypatch):
+    # a basis set through ``warm`` is tested in full each time it is offered,
+    # even after its owner wrote into it; the box's own basis, offered through
+    # ``arm``, is tested once
+    tested = _counted_gram(monkeypatch)
+    rng = np.random.default_rng(18)
+    V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    Z = (V * np.linspace(-3.0, 14.0, 8)) @ V.T
+    Z = 0.5 * (Z + Z.T)
+    box = SpectralBox(8, 0.1, 10.0)
+    M = rng.normal(size=(8, 8))
+    other = M + M.T   # V is orthonormal but not its eigenbasis
+    basis = V.copy()
+    for k, scale in enumerate((1.0, 2.0)):
+        basis *= scale
+        box.warm = basis
+        out = box.prox(1.0, other.ravel()).reshape(8, 8)
+        assert len(tested) == k + 1 and tested[-1] is basis
+        assert np.array_equal(out, project_spectral_box(other, 0.1, 10.0))
+    for k in range(2):
+        box.warm = V.copy()
+        box.prox(1.0, Z.ravel())
+        assert len(tested) == k + 3 and box.Q is tested[-1]   # it certified
+    for _ in range(3):
+        box.arm(box.x)
+        box.prox(1.0, Z.ravel())
+    assert len(tested) == 5 and tested[-1] is box.Q
+
+
+def test_mle_second_run_on_an_instance_tests_its_own_basis(monkeypatch):
+    # each run's first prox is LAPACK's, and that basis, a new object, is the
+    # one basis the run tests for orthogonality
+    tested = _counted_gram(monkeypatch)
+    inst = make_problem("mle", 1)
+    bases, eigh = [], np.linalg.eigh
+
+    def recorded_eigh(Z):
+        w, Q = eigh(Z)
+        bases.append(Q)
+        return w, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    cfg = RunConfig(max_iter=30, record_rows=False, record_trace=False)
+    for run in (1, 2):
+        run_solver(inst, AdGD2(), cfg)
+        assert len(bases) == len(tested) == run
+        assert all(Q is B for Q, B in zip(tested, bases))
+    assert bases[0] is not bases[1]
 
 
 # ---------------------------------------------------------------------------

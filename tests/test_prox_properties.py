@@ -96,8 +96,8 @@ def test_warm_started_spectral_box_properties(monkeypatch):
     certified = []
     certify = adgd.prox.certify_eigh
 
-    def counted(Z, Q):
-        found = certify(Z, Q)
+    def counted(Z, Q, gram_diag=None):
+        found = certify(Z, Q, gram_diag)
         certified.append(found is not None)
         return found
 
@@ -124,3 +124,61 @@ def test_warm_started_spectral_box_properties(monkeypatch):
 
     check()
     assert sum(certified) >= len(certified) // 4
+
+
+def _asymmetric_by_the_guard(Z):
+    """The spectral box's symmetry guard in full: asym > 1e-8 (1 + max|Z|)."""
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(Z - Z.T))
+        return bool(asym > 1e-8 * (1.0 + np.max(np.abs(Z))))
+
+
+def _lapack_box(Z, l, u):
+    w, Q = np.linalg.eigh(0.5 * (Z + Z.T))
+    return (Q * np.clip(w, l, u)) @ Q.T
+
+
+def test_spectral_box_symmetry_guard_decides_as_its_expression(monkeypatch):
+    """``project_spectral_box`` raises exactly when asym > 1e-8 (1 + max|Z|)
+    says so, for Z + t E with E antisymmetric, t from 1e-10 to 1e-6 relative
+    and scales 1e-3 to 1e3; an input with a NaN or an inf takes LAPACK, also
+    in a box offered a warm basis."""
+    calls = []
+    monkeypatch.setattr(adgd.prox, "certify_eigh", lambda *a: calls.append(a))
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(st.integers(1, 6), st.integers(-3, 3), st.floats(-10.0, -6.0),
+           st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def check(n, scale, log_t, bad, mirrored, seed):
+        rng = np.random.default_rng(seed)
+        M, A = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        Z = 10.0 ** scale * (M + M.T)
+        Z = Z + 10.0 ** log_t * np.max(np.abs(Z)) * (A - A.T)
+        if bad is not None:
+            i, j = rng.integers(n, size=2)
+            Z[i, j] = bad
+            if mirrored:
+                Z[j, i] = bad
+        expected = _asymmetric_by_the_guard(Z)
+        try:
+            with np.errstate(invalid="ignore"):
+                out = project_spectral_box(Z, 0.1, 10.0)
+        except np.linalg.LinAlgError:   # LAPACK may raise on a non-finite input
+            assert bad is not None and not expected
+            return
+        except ValueError as exc:
+            assert expected and "not symmetric" in str(exc)
+            return
+        assert not expected
+        if bad is not None:
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(out, _lapack_box(Z, 0.1, 10.0), equal_nan=True)
+            box = SpectralBox(n, 0.1, 10.0)
+            box.warm = np.eye(n)
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(box.prox(1.0, Z.ravel()).reshape(n, n), out,
+                                      equal_nan=True)
+            assert not calls
+
+    check()

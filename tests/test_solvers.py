@@ -787,11 +787,14 @@ def test_mle_runs_on_one_instance_do_not_share_a_warm_start(rule):
     assert first == again == fresh
 
 
-@pytest.mark.parametrize("scale,seed,rule,max_iter", [
+MLE_WARM_RUNS = pytest.mark.parametrize("scale,seed,rule,max_iter", [
     *(("desk", seed, rule, max_iter) for seed in (1, 2)
       for rule, max_iter in ((AdGD2(), 300), (Armijo(1.2, 0.5), 100))),
     ("paper", 1, AdGD2(), 30),
 ], ids=["1-adgd2", "1-armijo", "2-adgd2", "2-armijo", "paper-1-adgd2"])
+
+
+@MLE_WARM_RUNS
 def test_mle_warm_prox_outputs_match_lapack(monkeypatch, scale, seed, rule, max_iter):
     gaps, certified = [], []
     prox, certify = SpectralBox.prox, adgd.prox.certify_eigh
@@ -802,8 +805,8 @@ def test_mle_warm_prox_outputs_match_lapack(monkeypatch, scale, seed, rule, max_
         gaps.append(np.max(np.abs(x - ref)) / (1.0 + np.max(np.abs(z))))
         return x
 
-    def counted_certify(Z, Q):
-        found = certify(Z, Q)
+    def counted_certify(Z, Q, gram_diag=None):
+        found = certify(Z, Q, gram_diag)
         certified.append(found is not None)
         return found
 
@@ -815,3 +818,41 @@ def test_mle_warm_prox_outputs_match_lapack(monkeypatch, scale, seed, rule, max_
     assert max(gaps) <= 1e-12
     assert trace.counters.eig_count == trace.counters.prox_evals == len(gaps)
     assert sum(certified) >= 0.9 * len(gaps)
+
+
+@MLE_WARM_RUNS
+def test_mle_gram_diagonal_kept_per_basis_changes_no_byte(monkeypatch, scale, seed, rule,
+                                                          max_iter):
+    # the box tests each basis's orthogonality once and keeps diag(Q'Q); a run
+    # that tests it on every offer writes the same CSV text and x_final bytes
+    gram, eigh = adgd.prox.orthonormal_diag, np.linalg.eigh
+    certify = adgd.prox.certify_eigh
+
+    def run(bypass):
+        inst = make_problem("mle", seed, scale)
+        calls = {"gram": 0, "eigh": 0}
+
+        def counted_gram(Q):
+            calls["gram"] += 1
+            return gram(Q)
+
+        def counted_eigh(Z):
+            calls["eigh"] += 1
+            return eigh(Z)
+
+        with monkeypatch.context() as m:
+            m.setattr(adgd.prox, "orthonormal_diag", counted_gram)
+            m.setattr(np.linalg, "eigh", counted_eigh)
+            if bypass:   # the stored diagonal is never used: Q is tested again
+                m.setattr(adgd.prox, "certify_eigh", lambda Z, Q, gram_diag=None: certify(Z, Q))
+            trace = run_solver(inst, rule, RunConfig(max_iter=max_iter))
+        assert trace.iters == max_iter
+        return trace_csv_text(trace), trace.x_final.tobytes(), calls
+
+    text, x, calls = run(bypass=False)
+    text_b, x_b, calls_b = run(bypass=True)
+    same_text, same_x = text == text_b, x == x_b   # no text diff of 300 CSV rows
+    assert same_text and same_x
+    assert calls["eigh"] == calls_b["eigh"] >= 1
+    assert calls["gram"] == calls["eigh"]
+    assert calls_b["gram"] > calls["gram"]
