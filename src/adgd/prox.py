@@ -122,20 +122,16 @@ def orthonormal_diag(Q: np.ndarray):
     return d if abs(G).max() <= CERT_TOL * n * EPS else None
 
 
-def certify_eigh(Z: np.ndarray, Q: np.ndarray, gram_diag=None):
+def certify_eigh(Z: np.ndarray, Q: np.ndarray, gram_diag: np.ndarray):
     """Eigenpairs (w, Q) of symmetric Z from the basis Q, with w its Rayleigh
     quotients, or None when they do not certify.
 
-    ``gram_diag``, diag(Q'Q) as ``orthonormal_diag(Q)`` returned it, skips the
-    orthogonality half, which depends on Q alone; without it Q is tested here.
+    ``gram_diag`` is diag(Q'Q) as ``orthonormal_diag(Q)`` returned it: Q passed
+    the orthogonality half, which depends on Q alone, and this tests the rest.
     The certificate bounds the backward error of Q diag(w) Q' as a
     factorization of Z, and the box projection is 1-Lipschitz, so it needs no
     eigenvalue gaps: repeated eigenvalues certify too.  Every test fails on NaN.
     """
-    if gram_diag is None:
-        gram_diag = orthonormal_diag(Q)
-        if gram_diag is None:
-            return None
     tol = CERT_TOL * Z.shape[0] * EPS
     ZQ = Z @ Q
     w = np.einsum("ij,ij->j", Q, ZQ) / gram_diag
@@ -206,48 +202,35 @@ class SpectralBox:
     decomposition, and a smooth part may reuse ``Q`` and ``c``.  Other points,
     copies too, get the full test.
 
-    ``arm(x)`` tells whether ``x`` is the last prox output.  If it is, that
-    ``Q`` becomes the warm basis of the following prox calls, and each keeps
-    it only if ``certify_eigh`` passes it; else LAPACK factors them anew.  So
-    a basis that keeps certifying serves every later prox unchanged.  Its
-    orthogonality is tested once: the box keeps diag(Q'Q) of its last basis
-    that passed, keyed on the basis object, which is read-only.  A smooth
-    part calls ``arm`` from its gradient: every step starts with the gradient
-    at its point, and every run with the gradient at a fresh copy of x^0, so a
-    warm basis never outlives its run.
+    ``arm(x)`` tells whether ``x`` is the last prox output.  If it is, ``warm``
+    becomes the pair (Q, diag(Q'Q)), or None when Q fails ``orthonormal_diag``;
+    a Q that passed is not tested again.  A prox keeps the offered basis, with
+    its diagonal, only if ``certify_eigh`` passes it; else LAPACK factors anew.
+    A smooth part calls ``arm`` from its gradient: every step starts with the
+    gradient at its point, and every run with the gradient at a fresh copy of
+    x^0, so a warm basis never outlives its run.
     """
 
     def __init__(self, n: int, l: float, u: float):
         self.n, self.l, self.u = n, l, u
         self.x = self.Q = self.c = self.warm = None
-        self._gram = None   # (Q, diag(Q'Q)) of the box's last basis that passed
+        self._diag = None   # diag(Q'Q) once Q passed the orthogonality test
 
     def arm(self, x) -> bool:
         at_x = x is self.x
-        self.warm = self.Q if at_x else None
+        if at_x and self._diag is None:
+            self._diag = orthonormal_diag(self.Q)
+        self.warm = (self.Q, self._diag) if at_x and self._diag is not None else None
         return at_x
 
-    def _offer(self):
-        """(warm, diag(warm'warm)), or None without a warm basis or when it fails
-        the orthogonality test, which each of the box's own bases takes once."""
-        warm = self.warm
-        if warm is None:
-            return None
-        if self._gram is not None and warm is self._gram[0]:
-            return self._gram
-        d = orthonormal_diag(warm)
-        if d is None:
-            return None
-        if warm is self.Q:
-            self._gram = (warm, d)
-        return warm, d
-
     def prox(self, alpha, z):
-        Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, self._offer())
+        warm = self.warm
+        Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, warm)
         x = ((Q * c) @ Q.T).ravel()
         for a in (x, Q, c):
             a.flags.writeable = False
         self.x, self.Q, self.c = x, Q, c
+        self._diag = warm[1] if warm is not None and Q is warm[0] else None
         return x
 
     def value(self, x):

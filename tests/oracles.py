@@ -53,6 +53,30 @@ def with_f_scaled(inst, c):
     return dataclasses.replace(inst, composite=dataclasses.replace(inst.composite, f=fc))
 
 
+def first_difference(a, b):
+    """None when ``a == b``, else where they first differ: a line number with
+    the two lines, or for two {name: bytes} dicts of files, the name too.
+
+    ``assert first_difference(a, b) is None`` fails at once with one line.  A
+    bare ``==`` on whole CSV texts makes pytest diff them, which over a few
+    hundred rows takes minutes.
+    """
+    if a == b:
+        return None
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return f"names {sorted(a)} != {sorted(b)}"
+        return next(f"{name}: {first_difference(a[name], b[name])}"
+                    for name in a if a[name] != b[name])
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {i + 1}: {x!r} != {y!r}"
+    if len(la) == len(lb):
+        return "the same lines, with other line ends"
+    return f"{len(la)} != {len(lb)} lines, the same up to the shorter's end"
+
+
 def as_point(x) -> np.ndarray:
     """Return ``x`` as a 1-d float64 array, validating finiteness."""
     p = np.asarray(x, dtype=np.float64).ravel()

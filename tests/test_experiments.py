@@ -44,7 +44,7 @@ from adgd.reference import cached_reference, make_reference, reference_path
 from adgd.solvers import (RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD, RunConfig,
                           run_solver)
 
-from oracles import ladder_essential_units_rows
+from oracles import first_difference, ladder_essential_units_rows
 
 GOOD_CONFIG = """
 # minimal experiment
@@ -388,7 +388,7 @@ def test_trace_csv_text_matches_cell_by_cell_formatter():
                         RunConfig(max_iter=40, record_trace=False))
     assert diverged.status == "diverged" and np.isinf(diverged.F_steps[-1])
     for trace in (diverged, armijo):
-        assert trace_csv_text(trace) == _csv_text_cell_by_cell(trace)
+        assert first_difference(trace_csv_text(trace), _csv_text_cell_by_cell(trace)) is None
 
 
 def test_summary_totals_match_last_row(small_run):
@@ -652,6 +652,54 @@ def test_cli_run_with_a_stalled_cell_exits_0_with_its_status(tmp_path, capsys):
     # the essential total counts what the run spent, the failed search included
     assert float(cells["essential_total"]) == int(cells["svd_count"]) > cols["svd_count"][-1]
     assert (out / "meta.json").exists()
+
+
+TWO_FIXED_CELLS = """
+[experiment]
+seed = 1
+max_iter = 40
+reference = none
+plot = no
+
+[run.a]
+problem = curve
+rule = fixed
+alpha = 0.01
+
+[run.b]
+problem = curve
+rule = fixed
+alpha = 0.02
+"""
+
+
+def test_cli_two_cells_of_one_trace_name_get_numbered_csvs_that_check_reproduces(
+        tmp_path, capsys):
+    """Two fixed cells of different alpha on curve write curve__fixed.csv and
+    curve__fixed_2.csv; check reruns each against its own file."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TWO_FIXED_CELLS)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert [(c["csv"], c["rule"]) for c in meta["cells"]] == [
+        ("curve__fixed.csv", {"kind": "fixed", "alpha": 0.01}),
+        ("curve__fixed_2.csv", {"kind": "fixed", "alpha": 0.02})]
+    first, second = ((out / name).read_text() for name in ("curve__fixed.csv",
+                                                            "curve__fixed_2.csv"))
+    assert first != second
+    capsys.readouterr()
+    assert cli_main(["check", "--run", str(out)]) == 0
+    reproduced = [line for line in capsys.readouterr().out.splitlines()
+                  if "trace_reproduction" in line]
+    assert reproduced == [f"{'curve/fixed':36s} trace_reproduction          PASS"] * 2
+    # the second cell's check reads the second file: swapping the two fails both
+    (out / "curve__fixed.csv").write_text(second)
+    (out / "curve__fixed_2.csv").write_text(first)
+    assert cli_main(["check", "--run", str(out)]) == 4
+    failed = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    assert failed == [f"{'curve/fixed':36s} trace_reproduction          FAIL  "
+                      "stored CSV differs"] * 2
 
 
 def test_cli_check_on_a_cell_edited_to_a_stationary_start_exits_4(tmp_path, capsys):

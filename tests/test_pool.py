@@ -23,6 +23,8 @@ import adgd.solvers
 from adgd.cli import main as cli_main
 from adgd.core import NumericalError, process_map
 
+from oracles import first_difference
+
 pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="the pool needs the fork start method")
 
@@ -227,10 +229,12 @@ def run_cli(capsys, argv, out: Path):
     return code, capsys.readouterr().out.replace(str(out), "OUT")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_check_equals_run_then_check(tmp_path, monkeypatch, capsys, workers):
+def run_check_and_apart(tmp_path, monkeypatch, capsys, workers, cells):
+    """``adgd run --check`` into ``fused``, and ``adgd run`` then ``adgd check``
+    into ``apart``: both must exit 0 with the same output and files.  Returns
+    the fused run's printed output and both directories."""
     cfg = tmp_path / "pool.cfg"
-    cfg.write_text(POOL_CELLS)
+    cfg.write_text(cells)
     use_workers(monkeypatch, workers)
     fused, apart = tmp_path / "fused", tmp_path / "apart"
     code, printed = run_cli(capsys, ["run", "--config", str(cfg), "--out", str(fused),
@@ -239,9 +243,33 @@ def test_run_check_equals_run_then_check(tmp_path, monkeypatch, capsys, workers)
                                     apart)
     check_code, check_printed = run_cli(capsys, ["check", "--run", str(apart)], apart)
     assert code == run_code == check_code == 0
-    assert printed == run_printed + check_printed
-    assert files(fused) == files(apart)
+    assert first_difference(printed, run_printed + check_printed) is None
+    assert first_difference(files(fused), files(apart)) is None
     assert "check_report.txt" in files(fused)
+    return printed, fused, apart
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_check_equals_run_then_check(tmp_path, monkeypatch, capsys, workers):
+    run_check_and_apart(tmp_path, monkeypatch, capsys, workers, POOL_CELLS)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_check_with_references_equals_run_then_check(tmp_path, monkeypatch, capsys,
+                                                         workers):
+    """With ``reference = auto`` both build the same references, and each
+    adaptive cell of a convex kind passes the energy and the rate certificate."""
+    printed, fused, apart = run_check_and_apart(
+        tmp_path, monkeypatch, capsys, workers,
+        POOL_CELLS.replace("reference = none", "reference = auto"))
+    refs = files(fused / "references")
+    assert sorted(name.split("_")[1] for name in refs) == ["curve", "lrmc", "mle", "nmf"]
+    assert first_difference(refs, files(apart / "references")) is None
+    lines = printed.splitlines()
+    for kind in ("mle", "lrmc", "curve"):
+        for name in ("energy_decrease_prox", "rate_bound"):
+            line = f"{kind + '/adproxgd':36s} {name:28s} PASS  worst=-"
+            assert sum(x.startswith(line) and "[not applicable" not in x for x in lines) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -11,6 +11,7 @@ from adgd.prox import (
     certify_eigh,
     nonneg_indicator,
     nuclear_ball_indicator,
+    orthonormal_diag,
     project_affine,
     project_l1_ball,
     project_nonneg,
@@ -157,9 +158,17 @@ def test_spectral_box_rejects_asymmetric():
         project_spectral_box(Z, 0.1, 10.0)
 
 
+def _pair(basis):
+    """(basis, diag(basis' basis)), the warm pair of a basis that passes the
+    orthogonality half of the certificate."""
+    d = orthonormal_diag(basis)
+    assert d is not None
+    return basis, d
+
+
 def _warm_prox(Z, basis):
     box = SpectralBox(Z.shape[0], 0.1, 10.0)
-    box.warm = basis
+    box.warm = _pair(basis)
     return box.prox(1.0, Z.ravel()).reshape(Z.shape)
 
 
@@ -168,12 +177,11 @@ def test_spectral_box_warm_start_that_does_not_certify_is_lapack_bit_for_bit():
     V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     M = rng.normal(size=(6, 6))
     Z = 4.0 * (M + M.T)
-    repeated = (V * [0.05, 2.0, 2.0, 2.0, 7.0, 20.0]) @ V.T
-    repeated = 0.5 * (repeated + repeated.T)
-    for Z, basis in ((Z, V),                      # unrelated basis
-                     (repeated, 2.0 * V)):        # the exact one, scaled: Q'Q = 4 I
-        assert certify_eigh(0.5 * (Z + Z.T), basis) is None
-        assert np.array_equal(_warm_prox(Z, basis), project_spectral_box(Z, 0.1, 10.0))
+    assert certify_eigh(0.5 * (Z + Z.T), *_pair(V)) is None   # an unrelated basis
+    assert np.array_equal(_warm_prox(Z, V), project_spectral_box(Z, 0.1, 10.0))
+    # the exact eigenbasis of another input, scaled (Q'Q = 4 I), is never offered:
+    # it fails the orthogonality half
+    assert orthonormal_diag(2.0 * V) is None
 
 
 def test_spectral_box_warm_start_certifies_a_repeated_spectrum():
@@ -185,7 +193,7 @@ def test_spectral_box_warm_start_certifies_a_repeated_spectrum():
     repeated = 0.5 * (repeated + repeated.T)
     ref = project_spectral_box(repeated, 0.1, 10.0)
     for basis in (np.linalg.eigh(repeated)[1], V):   # its own basis, the exact one
-        assert certify_eigh(repeated, basis) is not None
+        assert certify_eigh(repeated, *_pair(basis)) is not None
         out = _warm_prox(repeated, basis)
         assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.max(np.abs(repeated)))
         w = np.linalg.eigvalsh(out)
@@ -199,12 +207,12 @@ def test_spectral_box_warm_start_certifies_near_its_basis():
     V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     Z = (V * np.linspace(-3.0, 14.0, 8)) @ V.T
     Z = 0.5 * (Z + Z.T)
-    w, Q = certify_eigh(Z, V)
+    w, Q = certify_eigh(Z, *_pair(V))
     assert Q is V
     assert np.allclose(w, np.linspace(-3.0, 14.0, 8), rtol=0, atol=1e-13)
     M = rng.normal(size=(8, 8))
     basis = np.linalg.eigh(Z + 1e-6 * (M + M.T))[1]
-    assert certify_eigh(Z, basis) is None
+    assert certify_eigh(Z, *_pair(basis)) is None
     assert np.array_equal(_warm_prox(Z, basis), project_spectral_box(Z, 0.1, 10.0))
 
 
@@ -243,24 +251,40 @@ def _counted_gram(monkeypatch):
 
 
 def test_spectral_box_never_keeps_a_basis_that_fails_orthogonality(monkeypatch):
-    # 2 V fails the orthogonality half (Q'Q = 4 I): each offer tests it again,
-    # and each prox is LAPACK's bit for bit
-    tested = _counted_gram(monkeypatch)
+    # a LAPACK basis that fails the orthogonality half (here 2 V, Q'Q = 4 I)
+    # is never offered: each arm tests it again and leaves ``warm`` None, and
+    # no prox reaches the certificate
     rng = np.random.default_rng(17)
     V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     Z = (V * [0.05, 2.0, 3.0, 4.0, 7.0, 20.0]) @ V.T
     Z = 0.5 * (Z + Z.T)
-    ref = project_spectral_box(Z, 0.1, 10.0)
-    box, bad = SpectralBox(6, 0.1, 10.0), 2.0 * V
+    bad = 2.0 * V
+    assert orthonormal_diag(bad) is None
+    eigh, w = np.linalg.eigh, np.linalg.eigvalsh(Z)
+    factored, offered = [], []
+    monkeypatch.setattr(np.linalg, "eigh", lambda Z: factored.append(Z) or (w, bad))
+    monkeypatch.setattr(adgd.prox, "certify_eigh", lambda *a: offered.append(a))
+    tested = _counted_gram(monkeypatch)
+    box = SpectralBox(6, 0.1, 10.0)
+    box.prox(1.0, Z.ravel())
+    for _ in range(2):   # an arm at another point tests nothing
+        assert not box.arm(Z.ravel()) and box.warm is None and not tested
     for k in range(3):
-        box.warm = bad
-        assert np.array_equal(box.prox(1.0, Z.ravel()).reshape(6, 6), ref)
-        assert len(tested) == k + 1 and tested[-1] is bad and box.Q is not bad
+        assert box.arm(box.x) and box.warm is None
+        assert len(tested) == 2 * k + 1 and tested[-1] is bad
+        assert box.arm(box.x) and box.warm is None   # a second arm tests it again
+        assert len(tested) == 2 * k + 2 and tested[-1] is bad
+        box.prox(1.0, Z.ravel())
+        assert box.Q is bad and len(factored) == k + 2
+    assert not offered
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    box.prox(1.0, Z.ravel())
+    assert np.array_equal(box.x.reshape(6, 6), project_spectral_box(Z, 0.1, 10.0))
 
 
 def test_spectral_box_factorization_is_read_only():
-    # the box keys its kept diag(Q'Q) on the basis object, so Q and c, like x,
-    # cannot be written; the basis is LAPACK's, kept by the certified prox
+    # the box keeps diag(Q'Q) beside Q, so Q and c, like x, cannot be
+    # written; the basis is LAPACK's, kept by the certified prox
     box = SpectralBox(4, 0.1, 10.0)
     z = _sym_gauss(4)(np.random.default_rng(20))
     x = box.prox(1.0, z)
@@ -273,33 +297,39 @@ def test_spectral_box_factorization_is_read_only():
             a[...] = 0.0
 
 
-def test_spectral_box_tests_a_basis_set_from_outside_on_every_offer(monkeypatch):
-    # a basis set through ``warm`` is tested in full each time it is offered,
-    # even after its owner wrote into it; the box's own basis, offered through
-    # ``arm``, is tested once
-    tested = _counted_gram(monkeypatch)
+def test_spectral_box_offers_a_pair_set_from_outside_as_given(monkeypatch):
+    # a pair (V, diag(V'V)) set through ``warm`` reaches the certificate as it
+    # is, untested by the box; when it certifies, the box keeps V with that
+    # diagonal, and the arms that follow test nothing; a LAPACK basis is
+    # tested at its first arm, once
     rng = np.random.default_rng(18)
     V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     Z = (V * np.linspace(-3.0, 14.0, 8)) @ V.T
     Z = 0.5 * (Z + Z.T)
-    box = SpectralBox(8, 0.1, 10.0)
     M = rng.normal(size=(8, 8))
     other = M + M.T   # V is orthonormal but not its eigenbasis
-    basis = V.copy()
-    for k, scale in enumerate((1.0, 2.0)):
-        basis *= scale
-        box.warm = basis
-        out = box.prox(1.0, other.ravel()).reshape(8, 8)
-        assert len(tested) == k + 1 and tested[-1] is basis
-        assert np.array_equal(out, project_spectral_box(other, 0.1, 10.0))
-    for k in range(2):
-        box.warm = V.copy()
-        box.prox(1.0, Z.ravel())
-        assert len(tested) == k + 3 and box.Q is tested[-1]   # it certified
+    pair = _pair(V)
+    tested = _counted_gram(monkeypatch)
+    offered, certify = [], adgd.prox.certify_eigh
+    monkeypatch.setattr(adgd.prox, "certify_eigh",
+                        lambda Z, Q, d: offered.append((Q, d)) or certify(Z, Q, d))
+    box = SpectralBox(8, 0.1, 10.0)
+    box.warm = pair
+    out = box.prox(1.0, other.ravel()).reshape(8, 8)
+    assert np.array_equal(out, project_spectral_box(other, 0.1, 10.0))
+    assert box.Q is not V and not tested
+    for _ in range(2):
+        box.arm(box.x)
+    assert len(tested) == 1 and tested[0] is box.Q   # LAPACK's basis, tested once
+    box.warm = pair
+    box.prox(1.0, Z.ravel())
+    assert box.Q is V
     for _ in range(3):
         box.arm(box.x)
+        assert box.warm[0] is V and box.warm[1] is pair[1]
         box.prox(1.0, Z.ravel())
-    assert len(tested) == 5 and tested[-1] is box.Q
+    assert box.Q is V and len(tested) == 1
+    assert len(offered) == 5 and all(Q is V and d is pair[1] for Q, d in offered)
 
 
 def test_mle_second_run_on_an_instance_tests_its_own_basis(monkeypatch):

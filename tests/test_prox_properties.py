@@ -17,6 +17,7 @@ import adgd.prox
 from adgd.prox import (
     SpectralBox,
     nonneg_indicator,
+    orthonormal_diag,
     project_affine,
     project_nonneg,
     project_nuclear_ball,
@@ -96,7 +97,7 @@ def test_warm_started_spectral_box_properties(monkeypatch):
     certified = []
     certify = adgd.prox.certify_eigh
 
-    def counted(Z, Q, gram_diag=None):
+    def counted(Z, Q, gram_diag):
         found = certify(Z, Q, gram_diag)
         certified.append(found is not None)
         return found
@@ -116,7 +117,11 @@ def test_warm_started_spectral_box_properties(monkeypatch):
 
         def P(Z):
             E = rng.normal(size=(n, n))
-            box.warm = np.linalg.eigh(Z + eps * np.max(np.abs(Z)) * (E + E.T))[1]
+            basis = np.linalg.eigh(Z + eps * np.max(np.abs(Z)) * (E + E.T))[1]
+            d = orthonormal_diag(basis)
+            if d is None:   # not offered, and counted as not certified
+                certified.append(False)
+            box.warm = None if d is None else (basis, d)
             return box.prox(1.0, Z.ravel()).reshape(n, n)
 
         pz, scale = _check_projection(P, *points)
@@ -175,7 +180,7 @@ def test_spectral_box_symmetry_guard_decides_as_its_expression(monkeypatch):
             with np.errstate(invalid="ignore"):
                 assert np.array_equal(out, _lapack_box(Z, 0.1, 10.0), equal_nan=True)
             box = SpectralBox(n, 0.1, 10.0)
-            box.warm = np.eye(n)
+            box.warm = (np.eye(n), orthonormal_diag(np.eye(n)))
             with np.errstate(invalid="ignore"):
                 assert np.array_equal(box.prox(1.0, Z.ravel()).reshape(n, n), out,
                                       equal_nan=True)
