@@ -28,6 +28,8 @@ class SmoothFunction:
 
     ``lipschitz`` holds a known global smoothness constant when one exists
     (quadratics, logistic); ``None`` for merely locally smooth objectives.
+    A read-only point is taken as immutable: the oracles may keep work done
+    at it for a later call at the same array object (see :class:`Kept`).
     """
 
     dimension: int
@@ -48,14 +50,40 @@ class ProxFriendly:
     """Convex lsc piece with a cheap proximal map.
 
     ``value`` may return ``+inf`` (indicator functions); ``prox`` must return
-    a point where ``value`` is finite.  ``cost`` lists the counter increments
-    one prox call incurs beyond ``prox_evals`` (e.g. one eigendecomposition).
+    a point in g's domain, where ``value`` is finite.  ``cost`` lists the
+    counter increments one prox call incurs beyond ``prox_evals`` (e.g. one
+    eigendecomposition).
     """
 
     value: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
     cost: dict = field(default_factory=dict)
     is_zero: bool = False
+
+
+class Kept:
+    """The intermediate ``make(x)`` that f's value and gradient share.
+
+    ``keep(x)`` returns it, and keeps it when x is read-only.  ``take(x)``
+    hands it over once at that same array object, and computes it anywhere
+    else (a writeable array, a copy, another point): so what a gradient
+    returns may alias what it took.
+    """
+
+    def __init__(self, make: Callable):
+        self.make, self.x, self.part = make, None, None
+
+    def keep(self, x):
+        part = self.make(x)
+        if not x.flags.writeable:
+            self.x, self.part = x, part
+        return part
+
+    def take(self, x):
+        if x is not self.x:
+            return self.make(x)
+        self.x = None
+        return self.part
 
 
 def zero_prox_friendly() -> ProxFriendly:
@@ -99,8 +127,9 @@ class ReferenceSolution:
 
 def evaluate_composite(p: CompositeProblem, x, f_val=None) -> float:
     """F(x) = f(x) + g(x); +inf whenever g(x) = +inf.  ``f_val``, when given,
-    is f(x).  A flat float64 x is not copied: an indicator skips its
-    decomposition at its last prox output itself, never at a copy."""
+    is f(x).  A flat float64 x is not copied: at a read-only prox output the
+    indicator skips its test and f keeps its intermediate for the gradient
+    there, which a copy would not."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         x = x.ravel()

@@ -370,7 +370,8 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
                   for spec, csv_name in zip(specs, csv_names)],
     }
     meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    certify = _certifier(json.loads(meta_text), out) if check else None
+    meta = json.loads(meta_text)   # as `check` and `plot` will read it
+    certify = _certifier(meta, out) if check else None
     n = len(specs)
 
     def task(i):
@@ -395,7 +396,7 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     (out / "meta.json").write_text(meta_text, encoding="utf-8")
 
     if config.plot:
-        plot_run_dir(out)
+        write_plots(out, meta, [(r.trace.F_steps, r.trace.counter_rows) for r in results])
     if not check:
         return results, [], True
     stored = ((out / csv_name).read_text(encoding="utf-8") for csv_name in csv_names)
@@ -424,35 +425,39 @@ def ops_to_accuracy(trace: Trace, kind: str, threshold: float) -> float:
 # ---------------------------------------------------------------------------
 
 def plot_run_dir(run_dir) -> List[Path]:
-    """Objective-gap vs essential-operations SVG per problem (read-only).  Every
-    cell CSV, problem and reference is read before the first SVG is written; a
-    malformed CSV is a ConfigError that names it."""
+    """``write_plots`` from the stored cell CSVs (read-only).  Every CSV is
+    read before the first SVG is written; a malformed CSV is a ConfigError
+    that names it."""
     run_dir = Path(run_dir)
     meta = read_meta(run_dir)
-    by_problem: dict = {}
+    columns = []
     for cell in meta["cells"]:
-        by_problem.setdefault(cell["problem"]["kind"], []).append(cell)
+        try:
+            cols = read_trace_csv(run_dir / cell["csv"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read cell CSV {cell['csv']!r}: {exc}") from None
+        columns.append((cols["F"], np.stack([cols[f] for f in COUNTER_FIELDS], axis=1)))
+    return write_plots(run_dir, meta, columns)
+
+
+def write_plots(run_dir: Path, meta: dict, columns) -> List[Path]:
+    """Objective-gap vs essential-operations SVG per problem of the parsed
+    ``meta.json``, from each cell's (F column, (n, 7) counter rows) in
+    ``columns``, in cell order.  The gap is to the cached reference's F* under
+    ``reference = auto``, else to the best F of the problem's cells.  Every
+    problem and reference is read before the first SVG is written."""
+    by_problem: dict = {}
+    for cell, (F, counter_rows) in zip(meta["cells"], columns):
+        by_problem.setdefault(cell["problem"]["kind"], []).append((cell, F, counter_rows))
     plots = []
     for kind, cells in by_problem.items():
-        curves = []
-        best = math.inf
-        loaded = []
-        for cell in cells:
-            try:
-                cols = read_trace_csv(run_dir / cell["csv"])
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read cell CSV {cell['csv']!r}: {exc}") from None
-            loaded.append((cell, cols))
-            if cols["F"].size:
-                best = min(best, float(np.min(cols["F"])))
-        ref = cached_reference(_cell_instance(cells[0]), run_dir / "references") \
+        best = min([math.inf, *(float(np.min(F)) for _, F, _ in cells if F.size)])
+        ref = cached_reference(_cell_instance(cells[0][0]), run_dir / "references") \
             if meta["reference"] == "auto" else None
         anchor = ref.F_star if ref is not None else best
-        for cell, cols in loaded:
-            ops = essential_units_rows(kind, np.stack([cols[f] for f in COUNTER_FIELDS], axis=1))
-            gaps = cols["F"] - anchor
-            curves.append((rule_from_dict(cell["rule"]).label, ops, gaps))
-        plots.append((kind, curves))
+        plots.append((kind, [(rule_from_dict(cell["rule"]).label,
+                              essential_units_rows(kind, counter_rows), F - anchor)
+                             for cell, F, counter_rows in cells]))
     outputs = []
     for kind, curves in plots:
         path = run_dir / f"{kind}_gap_vs_ops.svg"

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     CompositeProblem,
+    Kept,
     NumericalError,
     SmoothFunction,
     composite,
@@ -305,13 +306,14 @@ def make_lrmc(seed: int, n: int, r: int = 10, fraction: float = 0.2) -> ProblemI
     masked_A = np.where(mask, A, 0.0)
     _freeze(A, mask, masked_A)
 
+    residual = Kept(lambda x: np.where(mask, x.reshape(n, n), 0.0) - masked_A)
+
     def value(x):
-        R = np.where(mask, x.reshape(n, n), 0.0) - masked_A
+        R = residual.keep(x)
         return 0.5 * float(np.sum(R * R))
 
     def gradient(x):
-        R = np.where(mask, x.reshape(n, n), 0.0) - masked_A
-        return R.ravel()
+        return residual.take(x).ravel()
 
     f = SmoothFunction(
         dimension=n * n,
@@ -344,13 +346,18 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
     b = A @ w
     _freeze(A, b)
 
-    def value(x):
+    def lengths(x):   # the differences and the segment lengths past the first
         d = np.diff(x)
-        return float(np.sqrt(1.0 + x[0] ** 2) + np.sum(np.sqrt(1.0 + d * d)))
+        return d, np.sqrt(1.0 + d * d)
+
+    shared = Kept(lengths)
+
+    def value(x):
+        return float(np.sqrt(1.0 + x[0] ** 2) + np.sum(shared.keep(x)[1]))
 
     def gradient(x):
-        d = np.diff(x)
-        s = d / np.sqrt(1.0 + d * d)
+        d, q = shared.take(x)
+        s = d / q
         g = np.zeros_like(x)
         g[0] = x[0] / math.sqrt(1.0 + x[0] ** 2)
         g[:-1] -= s
@@ -391,17 +398,18 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
     _freeze(A, x_star)
     dim = 2 * n * r
 
-    def split(x):
-        return x[: n * r].reshape(n, r), x[n * r:].reshape(n, r)
+    def factors(x):   # U, V and the residual W = UV' - A
+        U, V = x[: n * r].reshape(n, r), x[n * r:].reshape(n, r)
+        return U, V, U @ V.T - A
+
+    shared = Kept(factors)
 
     def value(x):
-        U, V = split(x)
-        W = U @ V.T - A
+        W = shared.keep(x)[2]
         return 0.5 * float(np.sum(W * W))
 
     def gradient(x):
-        U, V = split(x)
-        W = U @ V.T - A
+        U, V, W = shared.take(x)
         return np.concatenate([(W @ V).ravel(), (W.T @ U).ravel()])
 
     f = SmoothFunction(
@@ -470,12 +478,14 @@ def make_dual_entropy(seed: int, m: int, n: int) -> ProblemInstance:
             raise NumericalError("exponential overflow in dual objective")
         return lam, mu, t, s, math.exp(expo)
 
+    shared = Kept(parts)
+
     def value(x):
-        lam, mu, _, _, E = parts(x)
+        lam, mu, _, _, E = shared.keep(x)
         return E + float(b @ lam) + mu
 
     def gradient(x):
-        lam, mu, t, s, E = parts(x)
+        lam, mu, t, s, E = shared.take(x)
         weights = np.exp(-t - s)  # sums to one
         g = np.empty(dim)
         g[:m] = b - E * (A @ weights)

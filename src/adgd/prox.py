@@ -161,20 +161,35 @@ def project_nuclear_ball(Z: np.ndarray, r: float) -> np.ndarray:
 # ProxFriendly factories (flattened-point interface used by the solvers)
 # ---------------------------------------------------------------------------
 
+def _indicator(project, feasible, cost: dict) -> ProxFriendly:
+    """Indicator of {x : feasible(x)} whose prox is ``project(z)``.  The last
+    prox output is read-only, and ``value`` is 0 there with no test."""
+    last = None
+
+    def value(x):
+        return 0.0 if x is last or feasible(x) else np.inf
+
+    def prox(alpha, z):
+        nonlocal last
+        last = project(z)
+        last.setflags(False)   # write=False, at a fifth of the flags attribute's cost
+        return last
+
+    return ProxFriendly(value=value, prox=prox, cost=cost)
+
+
 def nonneg_indicator(m=None) -> ProxFriendly:
     """Indicator of {x : x[:m] >= 0}: the nonnegative orthant when ``m`` is
     None, else the coordinates past the leading m are free."""
 
-    def value(x):
-        return 0.0 if np.min(x[:m], initial=0.0) >= -FEAS_TOL else np.inf
-
-    def prox(alpha, z):
+    def project(z):
         out = project_nonneg(z)
         if m is not None:
             out[m:] = z[m:]
         return out
 
-    return ProxFriendly(value=value, prox=prox, cost={"projection_count": 1})
+    return _indicator(project, lambda x: np.min(x[:m], initial=0.0) >= -FEAS_TOL,
+                      {"projection_count": 1})
 
 
 def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
@@ -185,12 +200,8 @@ def affine_indicator(A: np.ndarray, b: np.ndarray) -> ProxFriendly:
     A.flags.writeable = False
     b.flags.writeable = False
     tol = 1e-8 * (1.0 + np.linalg.norm(b))
-
-    def value(x):
-        return 0.0 if np.linalg.norm(A @ x - b) <= tol else np.inf
-
-    return ProxFriendly(value=value, prox=lambda alpha, z: project_affine(z, A, b, pinv),
-                        cost={"projection_count": 1})
+    return _indicator(lambda z: project_affine(z, A, b, pinv),
+                      lambda x: np.linalg.norm(A @ x - b) <= tol, {"projection_count": 1})
 
 
 class SpectralBox:
@@ -247,21 +258,10 @@ class SpectralBox:
 
 
 def nuclear_ball_indicator(shape: tuple, r: float) -> ProxFriendly:
-    """Indicator of {X : ||X||_* <= r} on row-major flattened X.  The last prox
-    output is read-only, and ``value`` is 0 there with no SVD."""
+    """Indicator of {X : ||X||_* <= r} on row-major flattened X; ``value`` takes
+    no SVD at the last prox output."""
     m, n = shape
-    last = None
-
-    def value(x):
-        if x is last:
-            return 0.0
-        s = np.linalg.svd(x.reshape(m, n), compute_uv=False)
-        return 0.0 if s.sum() <= r * (1 + 1e-8) + 1e-8 else np.inf
-
-    def prox(alpha, z):
-        nonlocal last
-        last = project_nuclear_ball(z.reshape(m, n), r).ravel()
-        last.flags.writeable = False
-        return last
-
-    return ProxFriendly(value=value, prox=prox, cost={"svd_count": 1, "projection_count": 1})
+    return _indicator(lambda z: project_nuclear_ball(z.reshape(m, n), r).ravel(),
+                      lambda x: np.linalg.svd(x.reshape(m, n), compute_uv=False).sum()
+                      <= r * (1 + 1e-8) + 1e-8,
+                      {"svd_count": 1, "projection_count": 1})

@@ -401,6 +401,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         apply_event(counters, cost, kind)
 
     x0 = np.array(problem.x0, dtype=np.float64)
+    x0.flags.writeable = False   # so f may keep its work at x0 for the gradient there
     comp.f.check_dim(x0)
     g_x0 = comp.g.value(x0)   # one evaluation serves the domain test and F(x^0)
     if g_x0 == np.inf:

@@ -541,3 +541,51 @@ def ladder_essential_units_rows(kind: str, counter_rows) -> np.ndarray:
     if grad_weight is not None:
         return grad_weight * grad + net
     return grad + net
+
+
+# ---------------------------------------------------------------------------
+# The adaptive loop as the README states it
+# ---------------------------------------------------------------------------
+
+def textbook_adaptive_run(inst, rule_kind: str, alpha0: float, steps: int, grad_tol: float):
+    """The two-iterate recurrence of README, one line per formula, for the
+    rules ``adgd1``, ``adgd2`` and ``oldadgd``: (alphas, thetas, Ls, x_K).
+
+    Step 0 takes alpha_0 and theta_0 (1/3 for adgd2, else 0) and reports
+    L_0 = 0.  Each formula is written in the loop's documented expression
+    order: alpha_{k-1} L_k before its square, the growth factor's sum before
+    its root.  The run stops after ``steps`` steps or once
+    ||x^{k+1} - x^k|| / alpha_k <= grad_tol.
+    """
+    f, g = inst.composite.f, inst.composite.g
+    theta0, growth_c, curv_c = {"adgd1": (0.0, 1.0, math.sqrt(2.0)),
+                                "adgd2": (1.0 / 3.0, 2.0 / 3.0, None),
+                                "oldadgd": (0.0, 1.0, 2.0)}[rule_kind]
+    x = np.array(inst.x0, dtype=np.float64)
+    grad = f.gradient(x)
+    x_prev = grad_prev = None
+    alphas, thetas, Ls = [], [], []
+    for k in range(steps):
+        if k == 0:
+            L, alpha, theta = 0.0, alpha0, theta0
+        else:
+            a = alphas[-1]
+            L = float(np.linalg.norm(grad - grad_prev) / np.linalg.norm(x - x_prev))
+            growth = math.sqrt(growth_c + thetas[-1]) * a
+            if curv_c is not None:       # 1 / (c L_k)
+                curv = math.inf if L == 0.0 else 1.0 / (curv_c * L)
+            else:                        # a / sqrt([2 (a L_k)^2 - 1]_+)
+                t = a * L
+                bracket = 2.0 * t * t - 1.0
+                curv = math.inf if bracket <= 0.0 else a / math.sqrt(bracket)
+            alpha = min(growth, curv)
+            theta = alpha / a
+        z = x - alpha * grad
+        x_prev, x = x, z if g.is_zero else g.prox(alpha, z)
+        alphas.append(alpha)
+        thetas.append(theta)
+        Ls.append(L)
+        if np.linalg.norm(x - x_prev) / alpha <= grad_tol:
+            break
+        grad_prev, grad = grad, f.gradient(x)
+    return np.array(alphas), np.array(thetas), np.array(Ls), x

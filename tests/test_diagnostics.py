@@ -391,6 +391,19 @@ def test_feasibility_flags_iterate_outside_box():
     assert not rep.passed and rep.worst_iteration == 7
 
 
+@pytest.mark.parametrize("kind", ["curve", "nmf"])
+def test_feasibility_tests_every_recorded_iterate_in_full(kind):
+    """The indicator takes g = 0 at its own read-only prox output with no
+    test; the recorded iterates are copies, so each gets the full test."""
+    inst = make_problem(kind, 1)
+    tr = run_solver(inst, AdGD2(), RunConfig(max_iter=20, grad_tol=1e-12))
+    assert check_feasibility(inst, tr).passed
+    bad = copy.deepcopy(tr)
+    bad.xs[7][0] = -1.0 if kind == "nmf" else bad.xs[7][0] + 1.0   # off the orthant, off Ax = b
+    rep = check_feasibility(inst, bad)
+    assert not rep.passed and rep.worst_iteration == 7
+
+
 def test_feasibility_not_applicable_without_prox(quad_run):
     inst, tr, _ = quad_run
     assert check_feasibility(inst, tr).note.startswith("not applicable")

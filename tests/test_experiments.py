@@ -623,6 +623,31 @@ def test_cli_run_check_plot_cycle(tmp_path):
     assert cli_main(["check", "--run", str(tmp_path / "out")]) == 4
 
 
+PLOTTED = """
+[experiment]
+seed = 2
+max_iter = 60
+plot = yes
+reference = {reference}
+problem = mle, curve, nmf
+"""
+
+
+@pytest.mark.parametrize("reference", ["none", "auto"])
+def test_cli_plot_rewrites_the_svgs_that_run_drew(tmp_path, reference):
+    """`run` draws its plots from the traces it holds, `plot` from the stored
+    CSVs, through one renderer: the two write the same bytes."""
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+    cfg.write_text(PLOTTED.format(reference=reference))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    drawn = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+    assert sorted(drawn) == ["curve_gap_vs_ops.svg", "mle_gap_vs_ops.svg", "nmf_gap_vs_ops.svg"]
+    for name in drawn:
+        (out / name).unlink()
+    assert cli_main(["plot", "--run", str(out)]) == 0
+    assert first_difference(drawn, {p.name: p.read_bytes() for p in out.glob("*.svg")}) is None
+
+
 LRMC_CELL = """
 [experiment]
 seed = 4

@@ -177,13 +177,13 @@ def test_run_shuts_its_workers_down_before_the_plots(tmp_path, monkeypatch, caps
     cfg.write_text(POOL_CELLS)
     use_workers(monkeypatch, 2)
     alive = []
-    real_plot = adgd.experiments.plot_run_dir
+    real_plot = adgd.experiments.write_plots
 
-    def plot(run_dir):
+    def plot(*args):
         alive.append(multiprocessing.active_children())
-        return real_plot(run_dir)
+        return real_plot(*args)
 
-    monkeypatch.setattr(adgd.experiments, "plot_run_dir", plot)
+    monkeypatch.setattr(adgd.experiments, "write_plots", plot)
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert alive == [[]]
 

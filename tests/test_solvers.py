@@ -11,6 +11,7 @@ from adgd.core import NumericalError, SmoothFunction, composite, ProxFriendly
 from adgd.experiments import trace_csv_text
 from adgd.problems import (
     EXPERIMENT_KINDS,
+    KINDS,
     make_counterexample,
     make_dual_entropy,
     make_least_squares,
@@ -30,6 +31,7 @@ from adgd.solvers import (
     FixedStep,
     MAX_LINESEARCH_TRIALS,
     OldAdGD,
+    RULES,
     RunConfig,
     _alpha0_search,
     _norm,
@@ -38,7 +40,8 @@ from adgd.solvers import (
 )
 
 from oracles import (FixedCurvature, curvature_estimate, first_difference,
-                     recover_subgradient, two_loop_alpha0_search, with_f_scaled)
+                     recover_subgradient, textbook_adaptive_run, two_loop_alpha0_search,
+                     with_f_scaled)
 
 SQ2 = math.sqrt(2.0)
 
@@ -568,6 +571,36 @@ def test_searched_run_is_a_function_of_problem_rule_and_alpha0(kind, seed, scale
     one_gradient = np.array(Counters(grad_evals=1).snapshot())
     assert len(ahead) > 1
     assert np.array_equal(ahead[1:], np.tile(ahead[0] - one_gradient, (len(ahead) - 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the loop against its textbook transcription
+# ---------------------------------------------------------------------------
+
+TEXTBOOK_CASES = [(kind, rule, seed) for kind in KINDS for rule in ("adgd1", "adgd2", "oldadgd")
+                  for seed in (1, 2) if rule == "adgd2" or not KINDS[kind].experiment]
+
+
+@pytest.mark.parametrize("kind, rule, seed", TEXTBOOK_CASES)
+def test_loop_matches_its_textbook_transcription(kind, rule, seed):
+    """40 steps of ``run_solver`` against ``textbook_adaptive_run`` on a fresh
+    instance, from the run's own alpha_0: alpha_k, theta_k, L_k and x_K agree
+    bit for bit.
+
+    On mle that needs an alpha_0 search of one probe.  The spectral box keeps
+    the eigenbasis of its last factorization while that basis certifies, so
+    after more probes the run's first step would be projected in an earlier
+    probe's basis, where the transcription's first prox is LAPACK's: a
+    rounding-level difference that the stepsize map carries on.
+    """
+    run = run_solver(make_problem(kind, seed), RULES[rule](),
+                     RunConfig(max_iter=40, grad_tol=1e-300, record_trace=False))
+    want = textbook_adaptive_run(make_problem(kind, seed), rule, run.alpha0, 40, 1e-300)
+    if kind == "mle":
+        assert run.counter_rows[0][COUNTER_FIELDS.index("prox_evals")] == 1
+    for name, a, b in zip(("alpha", "theta", "L", "x_K"),
+                          (run.alphas, run.thetas, run.curvatures, run.x_final), want):
+        assert a.shape == b.shape and np.array_equal(a, b), (name, np.flatnonzero(a != b)[:1])
 
 
 # ---------------------------------------------------------------------------
