@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import NumericalError
+from .core import NumericalError, pin_blas_threads
 from .experiments import (
     ConfigError,
     check_run_dir,
@@ -87,6 +87,7 @@ def _say(text: str) -> None:
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()   # before any BLAS call: the bytes do not depend on the thread count
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -164,9 +164,35 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(cpus, n_tasks // MIN_TASKS_PER_WORKER))
 
 
+def pin_blas_threads() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, whatever the environment says.
+
+    At more threads OpenBLAS splits a matrix product differently, so mle's
+    bytes would depend on the thread count, and each forked worker would
+    start its own threads on CPUs the pool already fills.  The library is the
+    one a numpy wheel ships in ``numpy.libs`` (``libscipy_openblas*``); numpy
+    has loaded it already, so this opens no second copy.  Where no such
+    library or setter is found (a numpy built against another BLAS), nothing
+    is done.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def _enter_worker(fn) -> None:
     global _TASK
     _TASK = fn
+    pin_blas_threads()
 
 
 def _call_task(i: int):

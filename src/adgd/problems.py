@@ -347,19 +347,22 @@ def make_min_curve(seed: int, m: int, n: int) -> ProblemInstance:
     _freeze(A, b)
 
     def lengths(x):   # the differences and the segment lengths past the first
-        d = np.diff(x)
+        d = x[1:] - x[:-1]   # np.diff's arithmetic, without its wrapper
         return d, np.sqrt(1.0 + d * d)
 
     shared = Kept(lengths)
 
+    # x_1 ** 2 on a Python float is C pow, as on a numpy scalar; x_1 * x_1 rounds
+    # differently on some inputs
     def value(x):
-        return float(np.sqrt(1.0 + x[0] ** 2) + np.sum(shared.keep(x)[1]))
+        return float(math.sqrt(1.0 + float(x[0]) ** 2) + np.add.reduce(shared.keep(x)[1]))
 
     def gradient(x):
         d, q = shared.take(x)
         s = d / q
-        g = np.zeros_like(x)
-        g[0] = x[0] / math.sqrt(1.0 + x[0] ** 2)
+        g = np.zeros(n)
+        x1 = float(x[0])
+        g[0] = x1 / math.sqrt(1.0 + x1 ** 2)
         g[:-1] -= s
         g[1:] += s
         return g
@@ -400,17 +403,22 @@ def make_nmf(seed: int, n: int, r: int = 10, start_index: int = 0) -> ProblemIns
 
     def factors(x):   # U, V and the residual W = UV' - A
         U, V = x[: n * r].reshape(n, r), x[n * r:].reshape(n, r)
-        return U, V, U @ V.T - A
+        W = U @ V.T
+        W -= A
+        return U, V, W
 
     shared = Kept(factors)
 
     def value(x):
         W = shared.keep(x)[2]
-        return 0.5 * float(np.sum(W * W))
+        return 0.5 * float(np.add.reduce(W * W, axis=None))
 
     def gradient(x):
         U, V, W = shared.take(x)
-        return np.concatenate([(W @ V).ravel(), (W.T @ U).ravel()])
+        g = np.empty(dim)
+        np.matmul(W, V, out=g[: n * r].reshape(n, r))
+        np.matmul(W.T, U, out=g[n * r:].reshape(n, r))
+        return g
 
     f = SmoothFunction(
         dimension=dim,

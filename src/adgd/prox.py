@@ -21,6 +21,8 @@ from .core import NumericalError, ProxFriendly
 # how far below zero an orthant coordinate may sit and still count as feasible
 FEAS_TOL = 1e-9
 
+_max = np.maximum.reduce   # what ndarray.max calls, without its Python wrappers
+
 
 def project_nonneg(z: np.ndarray) -> np.ndarray:
     """Componentwise projection onto the nonnegative orthant."""
@@ -94,16 +96,16 @@ def _eigh_clip(Z: np.ndarray, l: float, u: float, warm=None):
     if not (0 < l < u):
         raise ValueError("spectral box requires 0 < l < u")
     D = Z - Z.T
-    asym = np.abs(D, out=D).max()
+    asym = _max(np.abs(D, out=D), axis=None)
     # 1e-8 * (1 + max|Z|) is at least 1e-8, so below that the scale cannot matter
-    if asym > 1e-8 and asym > 1e-8 * (1.0 + np.max(np.abs(Z))):
+    if asym > 1e-8 and asym > 1e-8 * (1.0 + _max(np.abs(Z), axis=None)):
         raise ValueError(f"input is not symmetric (asymmetry {asym:.3e})")
     Zs = Z + Z.T
     Zs *= 0.5
     # a NaN or an inf anywhere in Z makes asym NaN or inf
     found = certify_eigh(Zs, *warm) if warm is not None and asym < np.inf else None
     w, Q = np.linalg.eigh(Zs) if found is None else found
-    return Q, np.clip(w, l, u)
+    return Q, np.minimum(np.maximum(w, l), u)   # np.clip's bits, without its wrapper
 
 
 EPS = np.finfo(np.float64).eps
@@ -136,7 +138,7 @@ def certify_eigh(Z: np.ndarray, Q: np.ndarray, gram_diag: np.ndarray):
     ZQ = Z @ Q
     w = np.einsum("ij,ij->j", Q, ZQ) / gram_diag
     ZQ -= Q * w
-    if np.abs(ZQ, out=ZQ).max() <= tol * abs(w).max() < np.inf:
+    if _max(np.abs(ZQ, out=ZQ), axis=None) <= tol * _max(np.abs(w)) < np.inf:
         return w, Q
     return None
 
@@ -239,7 +241,7 @@ class SpectralBox:
         Q, c = _eigh_clip(z.reshape(self.n, self.n), self.l, self.u, warm)
         x = ((Q * c) @ Q.T).ravel()
         for a in (x, Q, c):
-            a.flags.writeable = False
+            a.setflags(write=False)
         self.x, self.Q, self.c = x, Q, c
         self._diag = warm[1] if warm is not None and Q is warm[0] else None
         return x

@@ -202,8 +202,9 @@ def _eval_value(comp, x, on_event):
 def _step(comp, x, g, alpha, on_event):
     """The forward-backward step prox_{alpha g}(x - alpha grad f(x)), where
     ``g`` is grad f(x); the gradient step itself without a prox-friendly part."""
-    z = x - alpha * g
-    if not comp.has_prox_part:
+    z = g * -alpha   # x - alpha g bit for bit (a - b is a + (-b)), in one array
+    z += x
+    if comp.g.is_zero:
         return z
     on_event("prox")
     return comp.g.prox(alpha, z)
@@ -388,6 +389,16 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     non-finite iterate, which under any other rule raises a hard error with
     the step index.  A backtracking search that accepts no trial ends the run
     stalled at x^k, after k steps.
+
+    Each step takes one pass over d = x^{k+1} - x^k for its norm.  A
+    non-finite entry of x^{k+1} makes d'd inf or NaN (x^k is finite), so the
+    entries of x^{k+1} are inspected only when d'd is not finite.  The
+    divergence test reads the running bound ||x^0|| + sum_j ||x^{j+1} - x^j||,
+    which is at least ||x^{k+1}||, and takes the exact norm only once that
+    bound is not below ``DIVERGENCE_NORM / 2`` (NaN included), restarting the
+    bound from it.  Below half the threshold the exact test cannot fire, so
+    every status and its step are those of a test that takes ||x^{k+1}|| at
+    every step.
     """
     comp = problem.composite
     prox_run = comp.has_prox_part
@@ -434,6 +445,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
         grads.append(g0.copy())
 
     x_curr = x0
+    limit = math.inf if rule.divergent else DIVERGENCE_NORM
     g_prev, g_curr = None, g0
     alpha_prev, theta_prev = alpha0, rule.theta0   # alpha_{k-1}, theta_{k-1}
     status = "max_iter"
@@ -441,6 +453,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
     # one error state for the whole loop: a diverging rule overflows on purpose
     with np.errstate(over="ignore", invalid="ignore"):
+        bound = math.sqrt(x0 @ x0)   # at least ||x^k||: see the docstring
         for k in range(config.max_iter):
             if k == 0:
                 L_k = 0.0
@@ -463,16 +476,18 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 x_next = _step(comp, x_curr, g_curr, alpha_k, on_event) if k or x1 is None else x1
                 f_next = None
 
-            # ||x_next||^2 serves the finiteness and the divergence test; it is
-            # inf for a huge finite iterate, so only then are entries inspected
-            sq = x_next @ x_next
-            finite = math.isfinite(sq) or bool(np.all(np.isfinite(x_next)))
-            if not finite and not rule.divergent:
-                raise NumericalError(f"non-finite iterate at step {k} under rule "
-                                     f"{trace.rule_name}")
-
-            step_norm = _norm(x_next - x_curr) if finite else math.inf
-            trace.final_residual = step_norm / alpha_k
+            # d'd is not finite for a non-finite x_next, and for a huge finite step
+            d = x_next - x_curr
+            sq = d @ d
+            finite = math.isfinite(sq)
+            if finite:
+                step_norm = math.sqrt(sq)
+            else:
+                finite = bool(np.all(np.isfinite(x_next)))
+                if not finite and not rule.divergent:
+                    raise NumericalError(f"non-finite iterate at step {k} under rule "
+                                         f"{trace.rule_name}")
+                step_norm = _norm(d) if finite else math.inf
             if rows or not finite:
                 F_next = evaluate_composite(comp, x_next, f_val=f_next) if finite else math.inf
             if rows:
@@ -481,7 +496,11 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
             if record:
                 xs.append(x_next.copy() if finite else np.array(x_next, dtype=np.float64))
 
-            if not finite or (not rule.divergent and math.sqrt(sq) > DIVERGENCE_NORM):
+            if finite:
+                bound += step_norm
+                if not bound <= limit / 2:
+                    bound = math.sqrt(x_next @ x_next)
+            if not finite or bound > limit:
                 status = "diverged"
             elif step_norm / alpha_k <= config.grad_tol:
                 status = "converged"
@@ -499,6 +518,8 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
     trace.status = status
     trace.iters = k + (status != "stalled")   # the loop always ends in a break
+    if trace.iters:
+        trace.final_residual = step_norm / alpha_prev
     if rows:
         (trace.alphas, trace.thetas, trace.curvatures, trace.step_norms,
          trace.F_steps) = (np.asarray(column) for column in (zip(*steps) if steps else [()] * 5))

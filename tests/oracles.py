@@ -8,7 +8,7 @@ import numpy as np
 
 from adgd.core import NumericalError, SmoothFunction
 from adgd.diagnostics import BreakpointRecord, CertificateReport
-from adgd.solvers import AdGD2
+from adgd.solvers import DIVERGENCE_NORM, AdGD2
 
 
 def finite_difference_gradient(f: SmoothFunction, x, h=None) -> np.ndarray:
@@ -589,3 +589,69 @@ def textbook_adaptive_run(inst, rule_kind: str, alpha0: float, steps: int, grad_
             break
         grad_prev, grad = grad, f.gradient(x)
     return np.array(alphas), np.array(thetas), np.array(Ls), x
+
+
+# ---------------------------------------------------------------------------
+# The divergence test as a per-step norm
+# ---------------------------------------------------------------------------
+
+def per_step_norm_run(inst, alpha: float, steps: int, grad_tol: float):
+    """Gradient descent at the fixed stepsize ``alpha`` on a smooth instance,
+    with the loop's stop tests written out: a non-finite iterate raises
+    ``NumericalError`` naming its step, ``||x^{k+1}|| > DIVERGENCE_NORM`` taken
+    at every step is ``diverged``, and ``||x^{k+1} - x^k|| / alpha <= grad_tol``
+    is ``converged``.  Returns (status, iterations)."""
+    f = inst.composite.f
+    x = np.array(inst.x0, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x_prev, x = x, x - alpha * f.gradient(x)
+            if not np.all(np.isfinite(x)):
+                raise NumericalError(f"non-finite iterate at step {k}")
+            if np.linalg.norm(x) > DIVERGENCE_NORM:
+                return "diverged", k + 1
+            if np.linalg.norm(x - x_prev) / alpha <= grad_tol:
+                return "converged", k + 1
+    return "max_iter", steps
+
+
+# ---------------------------------------------------------------------------
+# The Armijo baseline as the textbook states it
+# ---------------------------------------------------------------------------
+
+def textbook_armijo_run(inst, s: float, r: float, alpha0: float, steps: int, grad_tol: float,
+                        max_trials: int):
+    """Backtracking proximal gradient from alpha_{-1} = ``alpha0``: step k tries
+    alpha = s r^i alpha_{k-1} for i = 0, 1, ..., max_trials - 1 and accepts the
+    first y = prox_{alpha g}(x - alpha grad f(x)) with
+
+        f(y) <= f(x) + <grad f(x), y - x> + ||y - x||^2 / (2 alpha),
+
+    each term as ``armijo_search`` writes it.  The run stops after ``steps``
+    steps, once ||x^{k+1} - x^k|| / alpha_k <= grad_tol, or stalled at a step
+    that accepts no trial.  Returns (alphas, trials per step, F(x^{k+1}) per
+    step, x_K, status)."""
+    f, g = inst.composite.f, inst.composite.g
+    x = np.array(inst.x0, dtype=np.float64)
+    f_x = float(f.value(x))
+    alpha_prev = alpha0
+    alphas, trials, F = [], [], []
+    for k in range(steps):
+        grad = f.gradient(x)
+        for i in range(max_trials):
+            alpha = s * (r ** i) * alpha_prev
+            z = x - alpha * grad
+            y = z if g.is_zero else g.prox(alpha, z)
+            f_y = float(f.value(y))
+            d = y - x
+            if f_y <= f_x + float(grad @ d) + float(d @ d) / (2.0 * alpha):
+                break
+        else:
+            return np.array(alphas), np.array(trials), np.array(F), x, "stalled"
+        alphas.append(alpha)
+        trials.append(i + 1)
+        F.append(f_y + float(g.value(y)))
+        x_prev, x, f_x, alpha_prev = x, y, f_y, alpha
+        if np.linalg.norm(x - x_prev) / alpha <= grad_tol:
+            return np.array(alphas), np.array(trials), np.array(F), x, "converged"
+    return np.array(alphas), np.array(trials), np.array(F), x, "max_iter"

@@ -40,8 +40,8 @@ from adgd.solvers import (
 )
 
 from oracles import (FixedCurvature, curvature_estimate, first_difference,
-                     recover_subgradient, textbook_adaptive_run, two_loop_alpha0_search,
-                     with_f_scaled)
+                     per_step_norm_run, recover_subgradient, textbook_adaptive_run,
+                     textbook_armijo_run, two_loop_alpha0_search, with_f_scaled)
 
 SQ2 = math.sqrt(2.0)
 
@@ -603,6 +603,29 @@ def test_loop_matches_its_textbook_transcription(kind, rule, seed):
         assert a.shape == b.shape and np.array_equal(a, b), (name, np.flatnonzero(a != b)[:1])
 
 
+ARMIJO_TEXTBOOK_CASES = [(kind, s, r, seed) for kind in EXPERIMENT_KINDS
+                         for s, r in ((1.2, 0.5), (1.5, 0.9)) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("kind, s, r, seed", ARMIJO_TEXTBOOK_CASES)
+def test_armijo_loop_matches_its_textbook_transcription(kind, s, r, seed):
+    """40 steps of ``run_solver`` under ``Armijo(s, r)`` against
+    ``textbook_armijo_run`` on a fresh instance, both from alpha_{-1} = 1:
+    alpha_k, the trials of each step, F(x^{k+1}) and x_K agree bit for bit.
+    alpha_0 is given, not searched, so the spectral box starts cold in both."""
+    run = run_solver(make_problem(kind, seed), Armijo(s, r),
+                     RunConfig(max_iter=40, grad_tol=1e-300, alpha0=1.0, record_trace=False))
+    alphas, trials, F, x_K, status = textbook_armijo_run(
+        make_problem(kind, seed), s, r, 1.0, 40, 1e-300, MAX_LINESEARCH_TRIALS + 1)
+    assert (run.status, run.iters) == (status, len(alphas))
+    # func_evals per step: the trials, past f(x^0) in the first row
+    run_trials = np.diff(run.counter_rows[:, COUNTER_FIELDS.index("func_evals")], prepend=1)
+    for name, a, b in zip(("alpha", "trials", "F", "x_K"),
+                          (run.alphas, run_trials, run.F_steps, run.x_final),
+                          (alphas, trials, F, x_K)):
+        assert a.shape == b.shape and np.array_equal(a, b), (name, np.flatnonzero(a != b)[:1])
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
@@ -711,6 +734,59 @@ def test_run_nonfinite_iterate_names_step(rows):
                     record_trace=rows)
     with pytest.raises(NumericalError, match="non-finite iterate at step 2 under rule adgd2"):
         run_solver(_flat_problem(_inf_below_half, [1.0]), AdGD2(), cfg)
+
+
+def _shifted_square(c, x0):
+    # the gradient of 0.5 ||x - c||^2 from x0 (the value reads 0, as in _flat_problem)
+    c = vec(c)
+    return _flat_problem(lambda x: x - c, x0)
+
+
+def _with_nan(inst):
+    x0 = np.array(inst.x0)
+    x0[3] = math.nan
+    return dataclasses.replace(inst, x0=x0)
+
+
+DIVERGENCE_CASES = {   # (instance, alpha, max_iter, grad_tol, the per-step test's status)
+    # alpha = 1 against eigenvalues up to 10: ||x^k|| grows ninefold per step and
+    # passes 1e10 at the eleventh
+    "fixed_step_too_long": (lambda: make_quadratic(64, 10, 10.0), 1.0, 10000, 1e-10,
+                            "diverged"),
+    # ||x^0|| = 9e9, above half the threshold: the exact norm decides from step 0,
+    # and the run passes 1e10 at its second step
+    "start_above_half_diverges": (lambda: _shifted_square(0.0, [9e9]), 2.1, 100, 1e-10,
+                                  "diverged"),
+    # ||x^0|| = 8e9 and the iterates stay below 1e10 while the step norms sum
+    # to 1.9e10: the bound passes the threshold and only its refresh keeps
+    # the run converging
+    "start_above_half_converges": (lambda: _shifted_square(7e9, [8e9]), 1.9, 1000, 1.0,
+                                   "converged"),
+    "stays_below": (lambda: make_quadratic(64, 10, 10.0), 0.1, 10000, 1e-10, "converged"),
+    "nan_in_start": (lambda: _with_nan(make_quadratic(64, 10, 10.0)), 0.1, 100, 1e-10,
+                     NumericalError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+def test_running_bound_decides_divergence_as_a_per_step_norm(case):
+    """The loop's divergence test, a running bound on ||x^k|| refreshed from
+    the exact norm past DIVERGENCE_NORM / 2, ends each run with the status and
+    at the step of a test that takes ||x^{k+1}|| at every step."""
+    make, alpha, steps, tol, outcome = DIVERGENCE_CASES[case]
+    if outcome is NumericalError:
+        with pytest.raises(NumericalError) as want:
+            per_step_norm_run(make(), alpha, steps, tol)
+        with pytest.raises(NumericalError, match=f"^{want.value} under rule fixed$"):
+            run_solver(make(), FixedStep(alpha), RunConfig(max_iter=steps, grad_tol=tol))
+        return
+    want = per_step_norm_run(make(), alpha, steps, tol)
+    assert want[0] == outcome and want[1] > 1
+    for rows in (True, False):
+        tr = run_solver(make(), FixedStep(alpha), RunConfig(max_iter=steps, grad_tol=tol,
+                                                            record_rows=rows,
+                                                            record_trace=rows))
+        assert (tr.status, tr.iters) == want
 
 
 @pytest.mark.parametrize("push", [1e12, 1e200])
