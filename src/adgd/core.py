@@ -30,6 +30,7 @@ class SmoothFunction:
     (quadratics, logistic); ``None`` for merely locally smooth objectives.
     A read-only point is taken as immutable: the oracles may keep work done
     at it for a later call at the same array object (see :class:`Kept`).
+    ``gradient`` returns a new array that the caller may keep.
     """
 
     dimension: int

@@ -498,6 +498,10 @@ def read_meta(run_dir) -> dict:
         for i, cell in enumerate(meta["cells"]):
             # str: a null or non-string kind is reported as an unknown problem too
             rule_from_dict(cell["rule"], f"cell {i} of {path}", str(cell["problem"]["kind"]))
+            # a plain file name: an absolute path, a separator or '..' could lead out
+            if Path(cell["csv"]).name != cell["csv"] or cell["csv"] in ("", ".."):
+                raise ConfigError(f"CSV {cell['csv']!r} of cell {i} of {path} is not a "
+                                  "file name in the run directory")
             if not (path.parent / cell["csv"]).is_file():
                 raise ConfigError(f"missing CSV {cell['csv']!r} of cell {i} of {path}")
     except ConfigError:

@@ -392,13 +392,9 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
     Each step takes one pass over d = x^{k+1} - x^k for its norm.  A
     non-finite entry of x^{k+1} makes d'd inf or NaN (x^k is finite), so the
-    entries of x^{k+1} are inspected only when d'd is not finite.  The
-    divergence test reads the running bound ||x^0|| + sum_j ||x^{j+1} - x^j||,
-    which is at least ||x^{k+1}||, and takes the exact norm only once that
-    bound is not below ``DIVERGENCE_NORM / 2`` (NaN included), restarting the
-    bound from it.  Below half the threshold the exact test cannot fire, so
-    every status and its step are those of a test that takes ||x^{k+1}|| at
-    every step.
+    entries of x^{k+1} are inspected only when d'd is not finite.  A recorded
+    run keeps the arrays the loop holds, which nothing writes to, and stacks
+    them once at the end.
     """
     comp = problem.composite
     prox_run = comp.has_prox_part
@@ -441,8 +437,8 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     record = config.record_trace
     rows = config.record_rows
     if record:
-        xs.append(x0.copy())
-        grads.append(g0.copy())
+        xs.append(x0)
+        grads.append(g0)
 
     x_curr = x0
     limit = math.inf if rule.divergent else DIVERGENCE_NORM
@@ -453,7 +449,6 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
 
     # one error state for the whole loop: a diverging rule overflows on purpose
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = math.sqrt(x0 @ x0)   # at least ||x^k||: see the docstring
         for k in range(config.max_iter):
             if k == 0:
                 L_k = 0.0
@@ -494,13 +489,9 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 steps.append((alpha_k, theta_k, L_k, step_norm, F_next))
                 crows.append(counters.snapshot())
             if record:
-                xs.append(x_next.copy() if finite else np.array(x_next, dtype=np.float64))
+                xs.append(x_next)
 
-            if finite:
-                bound += step_norm
-                if not bound <= limit / 2:
-                    bound = math.sqrt(x_next @ x_next)
-            if not finite or bound > limit:
+            if not finite or math.sqrt(x_next @ x_next) > limit:
                 status = "diverged"
             elif step_norm / alpha_k <= config.grad_tol:
                 status = "converged"
@@ -514,7 +505,7 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
                 on_event("reuse")  # accepted trial's work feeds this gradient
                 f_curr = f_next
             if record:
-                grads.append(g_curr.copy())
+                grads.append(g_curr)
 
     trace.status = status
     trace.iters = k + (status != "stalled")   # the loop always ends in a break
@@ -529,8 +520,8 @@ def run_solver(problem, rule: StepsizeRule, config: RunConfig) -> Trace:
     trace.F_final = F_next if (rows or not np.all(np.isfinite(x_curr))) \
         else evaluate_composite(comp, x_curr)
     if record:
-        if g_curr is None and np.all(np.isfinite(x_curr)):
-            grads.append(comp.f.gradient(x_curr))  # diagnostics only, uncounted
         trace.xs = np.asarray(xs)
+        if g_curr is None and finite:   # diagnostics only, uncounted; at the copy, arms no box
+            grads.append(comp.f.gradient(trace.xs[-1]))
         trace.grads = np.asarray(grads)
     return trace

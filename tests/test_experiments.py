@@ -753,6 +753,9 @@ def _with_cell(change):
     return edit
 
 
+OUTSIDE = "@outside@"   # stands for the parent of the run directory, as an absolute path
+
+
 def _with_meta(change):
     def edit(text):
         meta = json.loads(text)
@@ -789,6 +792,11 @@ def _with_meta(change):
     pytest.param(_with_meta(lambda meta: meta.update(max_iter=True)), id="max_iter true"),
     pytest.param(_with_meta(lambda meta: meta.update(grad_tol=math.inf)), id="grad_tol Infinity"),
     pytest.param(_with_meta(lambda meta: meta.update(reference="maybe")), id="reference maybe"),
+    # names of CSV files that exist outside the run directory
+    pytest.param(_with_cell(lambda cell: cell.update(csv=f"{OUTSIDE}/{cell['csv']}")),
+                 id="CSV path absolute"),
+    pytest.param(_with_cell(lambda cell: cell.update(csv=f"../{cell['csv']}")),
+                 id="CSV path in the parent directory"),
 ])
 @pytest.mark.parametrize("command", ["check", "plot"])
 def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsys,
@@ -796,10 +804,12 @@ def test_check_and_plot_on_a_bad_run_directory_exit_2(small_run, tmp_path, capsy
     out, _, _ = small_run
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    for csv in out.glob("*.csv"):
+    for csv in out.glob("*.csv"):   # in the run directory and in its parent
         (run_dir / csv.name).write_bytes(csv.read_bytes())
+        (tmp_path / csv.name).write_bytes(csv.read_bytes())
     if edit is not None:
-        (run_dir / "meta.json").write_text(edit((out / "meta.json").read_text()))
+        meta = edit((out / "meta.json").read_text())
+        (run_dir / "meta.json").write_text(meta.replace(OUTSIDE, tmp_path.as_posix()))
     files = sorted(run_dir.iterdir())
     assert cli_main([command, "--run", str(run_dir)]) == 2
     captured = capsys.readouterr()

@@ -992,3 +992,49 @@ def test_mle_gram_diagonal_kept_per_basis_changes_no_byte(monkeypatch, scale, se
     assert len(tested_b) == len(tested) + len(offered_b) > len(tested)
     if start is None:   # the commuting path: one basis serves the run
         assert len(tested) == eighs == 1
+
+
+def test_recorded_run_tests_no_basis_an_unrecorded_run_does_not(monkeypatch):
+    """A recorded run takes its diagnostics gradient at x_K on the stored copy,
+    which arms no box: from a start that does not commute with Y, recorded or
+    not, LAPACK factors each of the 300 prox inputs and the box tests the 299
+    bases that a later step's gradient arms."""
+    gram, eigh = adgd.prox.orthonormal_diag, np.linalg.eigh
+    calls = {"eigh": 0, "tested": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(adgd.prox, "orthonormal_diag", counted("tested", gram))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    for record in (True, False):
+        inst = _non_commuting(make_problem("mle", 1))   # its x* takes one eigh
+        calls.update(eigh=0, tested=0)
+        trace = run_solver(inst, AdGD2(), RunConfig(max_iter=300, record_trace=record,
+                                                    record_rows=record))
+        assert trace.iters == 300
+        assert calls == {"eigh": 300, "tested": 299}
+
+
+@pytest.mark.parametrize("rule", [AdGD2(), Armijo(1.2, 0.5)], ids=["adgd2", "armijo"])
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_recorded_trajectory_shares_no_array_with_the_instance(kind, rule):
+    """A recorded run keeps the iterates and gradients the loop holds and
+    stacks them into new arrays: overwriting a trace's xs and grads in place
+    leaves a second run on the same instance bit-identical to the first."""
+    inst = make_problem(kind, 1)
+
+    def run():
+        trace = run_solver(inst, rule, RunConfig(max_iter=40))
+        return trace, trace_csv_text(trace), [a.tobytes() for a in
+                                              (trace.x_final, trace.xs, trace.grads)]
+
+    first, text, arrays = run()
+    first.xs[...] = math.nan
+    first.grads[...] = math.nan
+    _, text_b, arrays_b = run()
+    assert first_difference(text, text_b) is None
+    assert arrays == arrays_b
