@@ -157,19 +157,17 @@ def check_stepsize_bounds(trace: Trace) -> List[CertificateReport]:
     ]
 
 
-def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[CertificateReport]:
+def check_stepsize_sum(trace: Trace) -> List[CertificateReport]:
     """Stepsize floor, cumulative-sum bound, and their supporting branch facts.
 
-    ``L_ref`` defaults to the largest curvature estimate along the run, a
-    lower bound for the trajectory-ball smoothness constant; the floor
-    1/(sqrt(3) L_ref) and the sum bound k/(sqrt(2) L_ref) are therefore
-    stronger claims than the ball-constant versions, and a failure here calls
-    for a curvature sweep before being treated as real.
+    L is the largest curvature estimate along the run, a lower bound on the
+    local smoothness constant over the trajectory; the floor 1/(sqrt(3) L)
+    and the sum bound k/(sqrt(2) L) are therefore stronger claims than the
+    theorem's, and a failure is reported as it is.
     """
     if trace.rule.kind != "adgd2":
         return [_not_applicable("stepsize_sum", f"rule {trace.rule_name}")]
-    if L_ref is None:
-        L_ref = trace.max_curvature
+    L_max = trace.max_curvature
     a, th, L = trace.alphas, trace.thetas, trace.curvatures
     out = []
 
@@ -202,9 +200,9 @@ def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[Cert
                        np.broadcast_to(k[:, None], branch.shape)[present], 1e-9))
 
     # floor on every stepsize after the first
-    if trace.iters > 1 and L_ref > 0:
-        floor = (1.0 / (SQRT3 * L_ref) if trace.alpha0_searched
-                 else min(trace.alpha0, 1.0 / (SQRT3 * L_ref)))
+    if trace.iters > 1 and L_max > 0:
+        floor = (1.0 / (SQRT3 * L_max) if trace.alpha0_searched
+                 else min(trace.alpha0, 1.0 / (SQRT3 * L_max)))
         kmin = 1 + int(np.argmin(a[1:]))
         viol = floor - 1e-12 - float(np.min(a[1:]))
         note = "searched alpha0" if trace.alpha0_searched else "floor includes alpha0"
@@ -213,42 +211,42 @@ def check_stepsize_sum(trace: Trace, L_ref: Optional[float] = None) -> List[Cert
         out.append(_not_applicable("stepsize_floor", "fewer than two steps"))
 
     # cumulative sum bound (needs the searched starting stepsize)
-    if trace.alpha0_searched and trace.iters > 1 and L_ref > 0:
+    if trace.alpha0_searched and trace.iters > 1 and L_max > 0:
         sums = np.cumsum(a[1:])
         ks = np.arange(1, trace.iters)
-        viol = ks / (SQRT2 * L_ref) * (1 - 1e-10) - sums
+        viol = ks / (SQRT2 * L_max) * (1 - 1e-10) - sums
         out.append(_report("stepsize_sum", viol, ks, 1e-10))
     else:
         out.append(_not_applicable("stepsize_sum", "alpha0 not searched"))
 
     # window sum around each interior breakpoint
-    rec = detect_breakpoints(trace, L_ref)
+    rec = detect_breakpoints(trace)
     m = np.array(rec.indices, dtype=np.int64)
     m = m[(m >= 2) & (m <= trace.iters - 3)]
     sums = a[m[:, None] + np.arange(-2, 3)].sum(axis=1)
-    win_viol = 5.0 / L_ref * (1 - 1e-9) - sums if m.size else sums   # breakpoints: L_ref > 0
+    win_viol = 5.0 / L_max * (1 - 1e-9) - sums if m.size else sums   # breakpoints: L_max > 0
     out.append(_report("breakpoint_window_sum", win_viol, m, 1e-9,
                        f"{len(rec.indices)} breakpoint(s)"))
     return out
 
 
-def detect_breakpoints(trace: Trace, L_ref: Optional[float] = None) -> BreakpointRecord:
-    """Indices m with theta_m < 1/3 and alpha_m < 1/L_ref.
+def detect_breakpoints(trace: Trace) -> BreakpointRecord:
+    """Indices m with theta_m < 1/3 and alpha_m < 1/L.
 
-    Also verifies that any unusually small step (alpha_k < 1/(sqrt(2) L_ref))
-    sits within two iterations of a breakpoint: either alpha_{k-1} is one, or
-    alpha_{k-1} < alpha_k and alpha_{k-2} is one.
+    L is the run's largest curvature estimate, a lower bound on the local
+    smoothness constant.  Also verifies that any unusually small step
+    (alpha_k < 1/(sqrt(2) L)) sits within two iterations of a breakpoint:
+    either alpha_{k-1} is one, or alpha_{k-1} < alpha_k and alpha_{k-2} is one.
     """
-    if L_ref is None:
-        L_ref = trace.max_curvature
+    L_max = trace.max_curvature
     a, th = trace.alphas, trace.thetas
-    if L_ref <= 0 or trace.iters < 2:
+    if L_max <= 0 or trace.iters < 2:
         return BreakpointRecord([])
-    is_bp = (th < 1.0 / 3.0) & (a < 1.0 / L_ref)
+    is_bp = (th < 1.0 / 3.0) & (a < 1.0 / L_max)
     is_bp[0] = False
     # per k = 3 .. iters-1
     near = is_bp[2:-1] | ((a[2:-1] < a[3:]) & is_bp[1:-2])
-    lonely = (a[3:] < 1.0 / (SQRT2 * L_ref)) & ~near
+    lonely = (a[3:] < 1.0 / (SQRT2 * L_max)) & ~near
     return BreakpointRecord(np.flatnonzero(is_bp).tolist(), (np.flatnonzero(lonely) + 3).tolist())
 
 
@@ -354,41 +352,6 @@ def check_divergence_pattern(trace: Trace) -> CertificateReport:
         blocks += 1
     return _report(name, viol, its, 0.0,
                    f"blocks={blocks}, iterate_pairs={pairs}, c={c:g}")
-
-
-# ---------------------------------------------------------------------------
-# Curvature sweep (cross-check for stronger-form floor/sum failures)
-# ---------------------------------------------------------------------------
-
-def trajectory_curvature_sweep(problem, trace: Trace, n_samples: int = 200,
-                               seed: int = 0) -> float:
-    """Better lower bound on the trajectory-ball smoothness constant.
-
-    Samples secant curvatures between recorded iterates and between random
-    convex combinations of them; returns the max together with the run's own
-    estimates.
-    """
-    _need_recorded(trace)
-    comp = problem.composite
-    xs, gs = trace.xs, trace.grads
-    n = gs.shape[0]
-    best = trace.max_curvature
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        t = rng.random()
-        y = xs[i] + t * (xs[j] - xs[i])
-        dx = float(np.linalg.norm(y - xs[i]))
-        if dx == 0.0:
-            continue
-        try:
-            gy = comp.f.gradient(y)
-        except Exception:
-            continue  # left the domain; skip the sample
-        best = max(best, float(np.linalg.norm(gy - gs[i])) / dx)
-    return best
 
 
 # ---------------------------------------------------------------------------

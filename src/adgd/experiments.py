@@ -253,7 +253,14 @@ def _parse_rule(where, lineno, kind, kind_ln, params, problem=None, problem_ln=N
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line as the parser counts it: the text before the byte decodes
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ConfigError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", line) from None
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,7 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
         write_plots(out, meta, [(r.trace.F_steps, r.trace.counter_rows) for r in results])
     if not check:
         return results, [], True
-    stored = ((out / csv_name).read_text(encoding="utf-8") for csv_name in csv_names)
+    stored = ((out / csv_name).read_bytes() for csv_name in csv_names)
     return (results, *_check_report(zip(stored, stream), out))
 
 
@@ -480,7 +487,7 @@ def check_run_dir(run_dir):
     run_dir = Path(run_dir)
     meta = read_meta(run_dir)
     certify = _certifier(meta, run_dir)
-    stored = ((run_dir / cell["csv"]).read_text(encoding="utf-8") for cell in meta["cells"])
+    stored = ((run_dir / cell["csv"]).read_bytes() for cell in meta["cells"])
     return _check_report(zip(stored, process_map(certify, len(meta["cells"]))), run_dir)
 
 
@@ -555,13 +562,13 @@ def _certifier(meta: dict, run_dir: Path):
 
 
 def _check_report(cells, run_dir: Path):
-    """(lines, ok) of a check from (stored CSV text, ``certify`` result) per
+    """(lines, ok) of a check from (stored CSV bytes, ``certify`` result) per
     cell, the lines also written to ``check_report.txt`` in ``run_dir``: a rerun
     whose CSV differs from the stored one fails alone."""
     lines = []
     ok = True
     for stored, (tag, csv_text, cell_lines, cell_ok) in cells:
-        if stored != csv_text:
+        if stored != csv_text.encode("utf-8"):
             lines.append(f"{tag:36s} trace_reproduction          FAIL  stored CSV differs")
             ok = False
         else:

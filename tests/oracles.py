@@ -118,23 +118,6 @@ def curvature_estimate(x_curr, x_prev, grad_curr, grad_prev) -> float:
     return float(np.linalg.norm(np.subtract(grad_curr, grad_prev, dtype=np.float64)) / dx)
 
 
-def l1_project_bisect(v, r):
-    """Solve the soft-threshold equation by bisection (sort-free route)."""
-    v = np.asarray(v, dtype=float)
-    a = np.abs(v)
-    if a.sum() <= r:
-        return v.copy()
-    lo, hi = 0.0, float(a.max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(a - mid, 0.0).sum() > r:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    return np.sign(v) * np.maximum(a - tau, 0.0)
-
-
 def l1_project_scan(v, r):
     """Exhaustive threshold scan over every candidate support size."""
     v = np.asarray(v, dtype=float)
@@ -263,19 +246,17 @@ def _loop_second_bound_binds(trace, k: int) -> bool:
     return second <= first
 
 
-def loop_stepsize_sum(trace, L_ref=None) -> list:
+def loop_stepsize_sum(trace) -> list:
     """Stepsize floor, cumulative-sum bound, and their supporting branch facts.
 
-    ``L_ref`` defaults to the largest curvature estimate along the run, a
-    lower bound for the trajectory-ball smoothness constant; the floor
-    1/(sqrt(3) L_ref) and the sum bound k/(sqrt(2) L_ref) are therefore
-    stronger claims than the ball-constant versions, and a failure here calls
-    for a curvature sweep before being treated as real.
+    L is the largest curvature estimate along the run, a lower bound on the
+    local smoothness constant over the trajectory; the floor 1/(sqrt(3) L)
+    and the sum bound k/(sqrt(2) L) are therefore stronger claims than the
+    theorem's, and a failure is reported as it is.
     """
     if trace.rule.kind != "adgd2":
         return [_not_applicable("stepsize_sum", f"rule {trace.rule_name}")]
-    if L_ref is None:
-        L_ref = trace.max_curvature
+    L_max = trace.max_curvature
     a, th, L = trace.alphas, trace.thetas, trace.curvatures
     out = []
 
@@ -308,9 +289,9 @@ def loop_stepsize_sum(trace, L_ref=None) -> list:
     out.append(_report("small_theta_branch", br_viol, br_its, 1e-9))
 
     # floor on every stepsize after the first
-    if trace.iters > 1 and L_ref > 0:
-        floor = (1.0 / (SQRT3 * L_ref) if trace.alpha0_searched
-                 else min(trace.alpha0, 1.0 / (SQRT3 * L_ref)))
+    if trace.iters > 1 and L_max > 0:
+        floor = (1.0 / (SQRT3 * L_max) if trace.alpha0_searched
+                 else min(trace.alpha0, 1.0 / (SQRT3 * L_max)))
         kmin = 1 + int(np.argmin(a[1:]))
         viol = floor - 1e-12 - float(np.min(a[1:]))
         note = "searched alpha0" if trace.alpha0_searched else "floor includes alpha0"
@@ -319,47 +300,47 @@ def loop_stepsize_sum(trace, L_ref=None) -> list:
         out.append(_not_applicable("stepsize_floor", "fewer than two steps"))
 
     # cumulative sum bound (needs the searched starting stepsize)
-    if trace.alpha0_searched and trace.iters > 1 and L_ref > 0:
+    if trace.alpha0_searched and trace.iters > 1 and L_max > 0:
         sums = np.cumsum(a[1:])
         ks = np.arange(1, trace.iters)
-        viol = ks / (SQRT2 * L_ref) * (1 - 1e-10) - sums
+        viol = ks / (SQRT2 * L_max) * (1 - 1e-10) - sums
         out.append(_report("stepsize_sum", viol, ks, 1e-10))
     else:
         out.append(_not_applicable("stepsize_sum", "alpha0 not searched"))
 
     # window sum around each interior breakpoint
-    rec = loop_detect_breakpoints(trace, L_ref)
+    rec = loop_detect_breakpoints(trace)
     win_viol, win_its = [], []
     for m in rec.indices:
         if m - 2 >= 0 and m + 2 <= trace.iters - 1:
-            win_viol.append(5.0 / L_ref * (1 - 1e-9) - float(np.sum(a[m - 2:m + 3])))
+            win_viol.append(5.0 / L_max * (1 - 1e-9) - float(np.sum(a[m - 2:m + 3])))
             win_its.append(m)
     out.append(_report("breakpoint_window_sum", win_viol, win_its, 1e-9,
                        f"{len(rec.indices)} breakpoint(s)"))
     return out
 
 
-def loop_detect_breakpoints(trace, L_ref=None) -> BreakpointRecord:
-    """Indices m with theta_m < 1/3 and alpha_m < 1/L_ref.
+def loop_detect_breakpoints(trace) -> BreakpointRecord:
+    """Indices m with theta_m < 1/3 and alpha_m < 1/L.
 
-    Also verifies that any unusually small step (alpha_k < 1/(sqrt(2) L_ref))
-    sits within two iterations of a breakpoint: either alpha_{k-1} is one, or
-    alpha_{k-1} < alpha_k and alpha_{k-2} is one.
+    L is the run's largest curvature estimate, a lower bound on the local
+    smoothness constant.  Also verifies that any unusually small step
+    (alpha_k < 1/(sqrt(2) L)) sits within two iterations of a breakpoint:
+    either alpha_{k-1} is one, or alpha_{k-1} < alpha_k and alpha_{k-2} is one.
     """
-    if L_ref is None:
-        L_ref = trace.max_curvature
+    L_max = trace.max_curvature
     a, th = trace.alphas, trace.thetas
-    if L_ref <= 0 or trace.iters < 2:
+    if L_max <= 0 or trace.iters < 2:
         return BreakpointRecord([])
     is_bp = [False] * trace.iters
     indices = []
     for m in range(1, trace.iters):
-        if th[m] < 1.0 / 3.0 and a[m] < 1.0 / L_ref:
+        if th[m] < 1.0 / 3.0 and a[m] < 1.0 / L_max:
             is_bp[m] = True
             indices.append(m)
     violations = []
     for k in range(3, trace.iters):
-        if a[k] < 1.0 / (SQRT2 * L_ref):
+        if a[k] < 1.0 / (SQRT2 * L_max):
             if is_bp[k - 1] or (a[k - 1] < a[k] and is_bp[k - 2]):
                 continue
             violations.append(k)

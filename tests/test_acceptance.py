@@ -21,7 +21,6 @@ from adgd.diagnostics import (
     check_stepsize_bounds,
     check_stepsize_sum,
     check_subgradient_monotonicity,
-    trajectory_curvature_sweep,
 )
 from adgd.experiments import DEFAULT_ARMIJO_PAIRS, ops_to_accuracy, parse_config, run_experiment
 from adgd.problems import make_counterexample, make_quadratic
@@ -163,12 +162,7 @@ def test_criterion_5_stepsize_floor_and_sum(request):
         for name in ("stepsize_floor", "stepsize_sum"):
             rep = reports[name]
             if not rep.passed:
-                # stronger-form violation: cross-check against a sweep-based
-                # curvature bound before calling it real
-                L_swept = trajectory_curvature_sweep(inst, tr)
-                rep2 = {r.name: r for r in check_stepsize_sum(tr, L_swept)}[name]
-                if not rep2.passed:
-                    failures.append(f"{inst.label}: {rep2.to_line()}")
+                failures.append(f"{inst.label}: {rep.to_line()}")
     verdict(5, "stepsize floor and sum bounds", not failures,
             "; ".join(failures[:3]) if failures else "20 instances clean")
 

@@ -17,7 +17,6 @@ from adgd.diagnostics import (
     check_subgradient_monotonicity,
     detect_breakpoints,
     run_certificates,
-    trajectory_curvature_sweep,
 )
 from adgd.problems import EXPERIMENT_KINDS, make_counterexample, make_problem, make_quadratic
 from adgd.prox import nonneg_indicator
@@ -260,16 +259,16 @@ def test_no_breakpoints_on_constant_curvature():
 
 
 def test_synthetic_breakpoint_detected():
-    L_ref = 2.0
-    alphas = np.array([1.0, 1.0, 0.3 / L_ref, 1.0])
+    L = 2.0
+    alphas = np.array([1.0, 1.0, 0.3 / L, 1.0])
     thetas = np.array([1.0, 1.0, 0.2, 1.0])
     tr = Trace(rule=AdGD2(), prox_run=False, alpha0=1.0, alpha0_searched=True,
                status="max_iter", iters=4,
                alphas=alphas, thetas=thetas,
-               curvatures=np.array([0.0, L_ref, L_ref, L_ref]),
+               curvatures=np.array([0.0, L, L, L]),
                step_norms=np.ones(4), F_steps=np.zeros(4),
                counter_rows=np.zeros((4, 7), dtype=np.int64))
-    rec = detect_breakpoints(tr, L_ref=L_ref)
+    rec = detect_breakpoints(tr)
     assert rec.indices == [2]
 
 
@@ -410,17 +409,10 @@ def test_feasibility_not_applicable_without_prox(quad_run):
 
 
 # ---------------------------------------------------------------------------
-# determinism, sweep
+# determinism
 # ---------------------------------------------------------------------------
 
 def test_reports_deterministic(quad_run):
     _, tr, ref = quad_run
     assert check_energy(tr, ref) == check_energy(tr, ref)
     assert check_rate(tr, ref) == check_rate(tr, ref)
-
-
-def test_curvature_sweep_dominates_trace_estimate(quad_run):
-    inst, tr, _ = quad_run
-    L2 = trajectory_curvature_sweep(inst, tr, n_samples=100)
-    assert L2 >= tr.max_curvature
-    assert L2 <= inst.composite.f.lipschitz * (1 + 1e-9)

@@ -159,12 +159,31 @@ def test_config_seed_past_2_to_the_53_runs_as_the_seed_flag(tmp_path):
     "max_iter = 0", "seed = nan", "max_iter = 1e400", "grad_tol = -1", "alpha0 = -2",
     # text that float rounds to an integer, but whose decimal value is none
     "seed = 9007199254740993.5", "max_iter = 2.0000000000000001",
+    "[run.a", "[experiment]", "problem = mle, banana", "reference = maybe",
+    "[run.a]\nrule = adgd2",
 ])
 def test_cli_bad_value_exits_2_with_line(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"[experiment]\nname = bad\nreference = none\n{line}\n")
+    third = "plot = no" if line.startswith("reference") else "reference = none"
+    cfg.write_text(f"[experiment]\nname = bad\n{third}\n{line}\n")
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "(line 4)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(line 4)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data, line", [
+    pytest.param(b"[experiment]\nname = caf\xe9\n", 2, id="mid-line"),
+    pytest.param(b"[experiment]\r\nreference = none\r\n\xff = 1\r\n", 3, id="line start, CRLF"),
+])
+def test_cli_config_that_is_not_utf8_exits_2_with_line(tmp_path, capsys, data, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(data)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"(line {line})" in err and "not UTF-8" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -946,6 +965,8 @@ def _csv_cell(row, col, value):
     pytest.param(lambda text: text.replace("iter,", "step,", 1), id="renamed header"),
     pytest.param(_csv_cell(2, 4, ["abc"]), id="non-number cell"),
     pytest.param(_csv_cell(2, 11, []), id="short row"),
+    # written as the byte 0xff by the surrogateescape encoding below
+    pytest.param(lambda text: text + "\udcff", id="byte that is not UTF-8"),
 ])
 def test_plot_on_a_malformed_cell_csv_exits_2_and_check_exits_4(two_kinds_run, tmp_path,
                                                                 capsys, edit):
@@ -956,7 +977,7 @@ def test_plot_on_a_malformed_cell_csv_exits_2_and_check_exits_4(two_kinds_run, t
         if f.suffix != ".svg":   # so that a plot written before the failure shows
             (run_dir / f.name).write_bytes(f.read_bytes())
     victim = run_dir / results[-1].csv_name
-    victim.write_text(edit(victim.read_text()))
+    victim.write_bytes(edit(victim.read_text()).encode("utf-8", "surrogateescape"))
     before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
     assert cli_main(["plot", "--run", str(run_dir)]) == 2
     captured = capsys.readouterr()
