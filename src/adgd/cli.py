@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: run (execute a config), check (certify stored traces), plot
-(SVGs from stored traces), reference (build or refresh a cached reference
-solution).
+(SVGs from stored traces), reference (build a cached reference solution).
 
 Exit codes: 0 success, 2 config error or a file that cannot be read or
 written, 3 numerical failure, 4 diagnostics failure under check.
@@ -61,12 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("plot", help="render SVG plots from stored traces")
     pl.add_argument("--run", required=True)
 
-    rf = sub.add_parser("reference", help="compute or refresh a cached reference")
+    rf = sub.add_parser("reference", help="build or load a cached reference")
     rf.add_argument("--problem", required=True, choices=sorted(KINDS))
     rf.add_argument("--seed", type=_seed, default=1)
     _scale_flags(rf)
     rf.add_argument("--cache", required=True, help="reference cache directory")
-    rf.add_argument("--force", action="store_true")
     return p
 
 
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
         if args.command == "reference":
             inst = make_problem(args.problem, args.seed, args.scale)
             Path(args.cache).mkdir(parents=True, exist_ok=True)   # fail before a solve
-            ref = make_reference(inst, args.cache, force=args.force)
+            ref = make_reference(inst, args.cache)
             _say(f"{inst.label}: F_ref={ref.F_star!r} tol={ref.tolerance:g}")
             _say(f"  provenance: {ref.provenance}")
             _say(f"  cache: {reference_path(args.cache, inst)}")

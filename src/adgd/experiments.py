@@ -31,7 +31,7 @@ from .problems import (
     instance_from_descriptor,
     make_problem,
 )
-from .reference import cached_reference, make_reference
+from .reference import make_reference
 from .solvers import RULES, AdGD2, Armijo, RunConfig, Trace, run_solver
 from .svgplot import gap_plot_svg
 
@@ -161,7 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     runs = []
     seen_experiment = False
-    for sec in _parse_sections(text):
+    for sec in _parse_sections(text.removeprefix("\ufeff")):   # a byte-order mark
         name, lineno, items = sec["name"], sec["lineno"], sec["items"]
         if name == "experiment":
             if seen_experiment:
@@ -175,9 +175,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 elif key == "problem":
                     kinds = [p.strip() for p in value.split(",")] \
                         if value != "all" else list(EXPERIMENT_KINDS)
-                    for k in kinds:
+                    for i, k in enumerate(kinds):
                         if k not in KINDS:
                             raise ConfigError(f"unknown problem {k!r}", ln)
+                        if k in kinds[:i]:
+                            raise ConfigError(f"problem {k!r} is listed twice", ln)
                     cfg.problems = kinds
                 elif key == "seed":
                     cfg.seed = _want_int(value, ln, key, 0)
@@ -203,6 +205,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     cfg.reference = value
         elif name.startswith("run.") or name == "run":
             run_name = name[4:] or f"run{len(runs)}"
+            if any(run.name == run_name for run in runs):
+                raise ConfigError(f"duplicate run name {run_name!r}", lineno)
             params = dict(items)
             problem, _ = params.pop("problem", (None, None))
             rule_kind, rule_ln = params.pop("rule", (None, None))
@@ -333,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
 
     The cells run through ``process_map``; the files are written here, in
     config order, as the traces come back.  With ``reference = auto`` each
-    problem's reference is cached under ``references/`` for plots and checks.
+    problem's reference is made first and cached under ``references/``.
     """
     return run_and_check(config, check=False)[0]
 
@@ -344,7 +348,6 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     beside the cells and starts first.  (results, lines, ok), or (results, [], True)."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    cache = out / "references" if config.reference == "auto" else None
 
     specs = config.resolved_runs()
     instances: dict = {}
@@ -378,7 +381,8 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
     }
     meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     meta = json.loads(meta_text)   # as `check` and `plot` will read it
-    certify = _certifier(meta, out) if check else None
+    problems = _problems(meta, out) if check or config.reference == "auto" else None
+    certify = _certifier(meta, problems) if check else None
     n = len(specs)
 
     def task(i):
@@ -392,18 +396,15 @@ def run_and_check(config: ExperimentConfig, check: bool = True):
         write_trace_csv(out / csv_name, trace)
         results.append(CellResult(instances[spec.problem], trace, csv_name))
     if not check:
-        stream.close()   # the workers exit now, not after the references and plots
-
-    if config.reference == "auto":
-        for inst in instances.values():
-            make_reference(inst, cache)
+        stream.close()   # the workers exit now, not after the plots
 
     summary_lines = [SUMMARY_HEADER] + [r.summary_row() for r in results]
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
     (out / "meta.json").write_text(meta_text, encoding="utf-8")
 
     if config.plot:
-        write_plots(out, meta, [(r.trace.F_steps, r.trace.counter_rows) for r in results])
+        write_plots(out, meta, [(r.trace.F_steps, r.trace.counter_rows) for r in results],
+                    problems)
     if not check:
         return results, [], True
     stored = ((out / csv_name).read_bytes() for csv_name in csv_names)
@@ -432,9 +433,10 @@ def ops_to_accuracy(trace: Trace, kind: str, threshold: float) -> float:
 # ---------------------------------------------------------------------------
 
 def plot_run_dir(run_dir) -> List[Path]:
-    """``write_plots`` from the stored cell CSVs (read-only).  Every CSV is
-    read before the first SVG is written; a malformed CSV is a ConfigError
-    that names it."""
+    """``write_plots`` from the stored cell CSVs, which it only reads.  Every CSV
+    is read before the first SVG is written; a malformed CSV is a ConfigError
+    that names it.  Under ``reference = auto`` the references come from
+    ``make_reference``, which rebuilds a missing or unreadable cache file."""
     run_dir = Path(run_dir)
     meta = read_meta(run_dir)
     columns = []
@@ -444,29 +446,28 @@ def plot_run_dir(run_dir) -> List[Path]:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read cell CSV {cell['csv']!r}: {exc}") from None
         columns.append((cols["F"], np.stack([cols[f] for f in COUNTER_FIELDS], axis=1)))
-    return write_plots(run_dir, meta, columns)
+    problems = _problems(meta, run_dir) if meta["reference"] == "auto" else None
+    return write_plots(run_dir, meta, columns, problems)
 
 
-def write_plots(run_dir: Path, meta: dict, columns) -> List[Path]:
+def write_plots(run_dir: Path, meta: dict, columns, problems=None) -> List[Path]:
     """Objective-gap vs essential-operations SVG per problem of the parsed
     ``meta.json``, from each cell's (F column, (n, 7) counter rows) in
-    ``columns``, in cell order.  The gap is to the cached reference's F* under
-    ``reference = auto``, else to the best F of the problem's cells.  Every
-    problem and reference is read before the first SVG is written."""
-    by_problem: dict = {}
-    for cell, (F, counter_rows) in zip(meta["cells"], columns):
-        by_problem.setdefault(cell["problem"]["kind"], []).append((cell, F, counter_rows))
-    plots = []
-    for kind, cells in by_problem.items():
-        best = min([math.inf, *(float(np.min(F)) for _, F, _ in cells if F.size)])
-        ref = cached_reference(_cell_instance(cells[0][0]), run_dir / "references") \
-            if meta["reference"] == "auto" else None
-        anchor = ref.F_star if ref is not None else best
-        plots.append((kind, [(rule_from_dict(cell["rule"]).label,
-                              essential_units_rows(kind, counter_rows), F - anchor)
-                             for cell, F, counter_rows in cells]))
+    ``columns``, in cell order.  The gap is to the F* of the problem's reference
+    in ``problems``, the ``_problems`` of the run, else to the best F of the
+    problem's cells."""
+    by_problem: dict = {}   # kind -> (the reference of its first cell, its cells)
+    for i, (cell, (F, counter_rows)) in enumerate(zip(meta["cells"], columns)):
+        ref = problems[i][1] if problems else None
+        by_problem.setdefault(cell["problem"]["kind"], (ref, []))[1].append(
+            (cell, F, counter_rows))
     outputs = []
-    for kind, curves in plots:
+    for kind, (ref, cells) in by_problem.items():
+        anchor = ref.F_star if ref is not None else \
+            min([math.inf, *(float(np.min(F)) for _, F, _ in cells if F.size)])
+        curves = [(rule_from_dict(cell["rule"]).label,
+                   essential_units_rows(kind, counter_rows), F - anchor)
+                  for cell, F, counter_rows in cells]
         path = run_dir / f"{kind}_gap_vs_ops.svg"
         gap_plot_svg(f"{kind}: objective gap vs {essential_metric_name(kind)}",
                      curves, path, x_label=essential_metric_name(kind),
@@ -486,7 +487,7 @@ def check_run_dir(run_dir):
     """
     run_dir = Path(run_dir)
     meta = read_meta(run_dir)
-    certify = _certifier(meta, run_dir)
+    certify = _certifier(meta, _problems(meta, run_dir))
     stored = ((run_dir / cell["csv"]).read_bytes() for cell in meta["cells"])
     return _check_report(zip(stored, process_map(certify, len(meta["cells"]))), run_dir)
 
@@ -532,29 +533,35 @@ def _cell_instance(cell: dict) -> ProblemInstance:
         raise ConfigError(f"cannot build the problem of cell {cell['csv']!r}: {exc}") from None
 
 
-def _certifier(meta: dict, run_dir: Path):
-    """``certify(i)``: cell i of the parsed ``meta.json`` rebuilt, rerun and
-    certified, as (tag, csv_text, certificate lines, ok).  Instances, rules and
-    references are built here, before any worker starts: no two workers ever
-    build the same reference."""
-    cache = run_dir / "references" if meta["reference"] == "auto" else None
+def _problems(meta: dict, run_dir: Path) -> list:
+    """(instance, reference) per cell of the parsed ``meta.json``: each distinct
+    problem built once from its descriptor and, under ``reference = auto``, its
+    reference taken once from ``make_reference`` with the cache ``references/``
+    in ``run_dir`` (else None).  Called before any worker starts: no two workers
+    ever build the same reference."""
+    built: dict = {}
+    for cell in meta["cells"]:
+        key = json.dumps(cell["problem"], sort_keys=True)
+        if key not in built:
+            inst = _cell_instance(cell)
+            built[key] = inst, (make_reference(inst, run_dir / "references")
+                                if meta["reference"] == "auto" else None)
+    return [built[json.dumps(cell["problem"], sort_keys=True)] for cell in meta["cells"]]
+
+
+def _certifier(meta: dict, problems: list):
+    """``certify(i)``: cell i of the parsed ``meta.json`` rerun on its problem of
+    ``problems`` (``_problems``) and certified against its reference, as (tag,
+    csv_text, certificate lines, ok)."""
     cells = meta["cells"]
-    keys = [json.dumps(cell["problem"], sort_keys=True) for cell in cells]
-    instances: dict = {}
-    references: dict = {}
-    for key, cell in zip(keys, cells):
-        if key not in instances:
-            inst = instances[key] = _cell_instance(cell)
-            if cache is not None and inst.convex:
-                references[key] = make_reference(inst, cache)
     rules = [rule_from_dict(cell["rule"]) for cell in cells]
     cfg = _rerun_config(meta)
 
     def certify(i):
-        inst = instances[keys[i]]
+        inst, reference = problems[i]
         trace = run_solver(inst, rules[i], cfg)
         tag = f"{cells[i]['problem']['kind']}/{trace.rule_name}"
-        reports = run_certificates(inst, trace, references.get(keys[i]))
+        reports = run_certificates(inst, trace, reference)
         return (tag, trace_csv_text(trace), [f"{tag:36s} {rep.to_line()}" for rep in reports],
                 all(rep.passed for rep in reports))
 

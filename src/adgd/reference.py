@@ -21,7 +21,6 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -69,25 +68,6 @@ def _save(path: Path, ref: ReferenceSolution, settings: str) -> None:
         raise
 
 
-def cached_reference(inst: ProblemInstance, cache_dir) -> Optional[ReferenceSolution]:
-    """The reference cached for ``inst`` under the current settings, or None
-    when there is no file, the file cannot be read, or it was built under
-    other settings."""
-    path = reference_path(cache_dir, inst)
-    try:
-        with np.load(path) as data:
-            if "settings" not in data.files or str(data["settings"]) != _cache_settings(inst):
-                return None
-            return ReferenceSolution(
-                x_star=np.array(data["x_star"]),
-                F_star=float(data["F_star"]),
-                tolerance=float(data["tolerance"]),
-                provenance=str(data["provenance"]),
-            )
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile):
-        return None   # missing, empty, truncated or corrupt: a miss, rebuilt and replaced
-
-
 def _closed_form_reference(inst: ProblemInstance) -> ReferenceSolution:
     p, x = inst.composite, inst.solution
     residual = np.linalg.norm(x - p.g.prox(1.0, x - p.f.gradient(x)))
@@ -109,21 +89,32 @@ def _solve_reference(inst: ProblemInstance) -> ReferenceSolution:
                              provenance=prov)
 
 
-def make_reference(inst: ProblemInstance, cache_dir=None,
-                   force: bool = False) -> ReferenceSolution:
-    """Reference for ``inst``, from cache when available.
+def make_reference(inst: ProblemInstance, cache_dir=None) -> ReferenceSolution:
+    """Reference for ``inst``: the one cached under ``cache_dir`` for the current
+    settings, else built and cached there.
 
     The instance's closed-form solution when it carries one, a long adaptive
-    run otherwise.  Pass ``cache_dir=None`` to skip caching entirely.
+    run otherwise.  A file that is missing, cannot be read or was built under
+    other settings is rebuilt and replaced.  Pass ``cache_dir=None`` to skip
+    caching entirely.
     """
-    if cache_dir is not None and not force:
-        ref = cached_reference(inst, cache_dir)
-        if ref is not None:
-            return ref
+    settings = _cache_settings(inst)
+    if cache_dir is not None:
+        try:
+            with np.load(reference_path(cache_dir, inst)) as data:
+                if str(data["settings"]) == settings:
+                    return ReferenceSolution(
+                        x_star=np.array(data["x_star"]),
+                        F_star=float(data["F_star"]),
+                        tolerance=float(data["tolerance"]),
+                        provenance=str(data["provenance"]),
+                    )
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            pass   # missing, empty, truncated or corrupt: rebuilt and replaced
     if inst.solution is not None:
         ref = _closed_form_reference(inst)
     else:
         ref = _solve_reference(inst)
     if cache_dir is not None:
-        _save(reference_path(cache_dir, inst), ref, _cache_settings(inst))
+        _save(reference_path(cache_dir, inst), ref, settings)
     return ref

@@ -40,7 +40,8 @@ from adgd.problems import (
     make_quadratic,
     make_quartic,
 )
-from adgd.reference import cached_reference, make_reference, reference_path
+from adgd.diagnostics import check_feasibility
+from adgd.reference import _cache_settings, _save, make_reference, reference_path
 from adgd.solvers import (RULES, AdGD1, AdGD2, Armijo, BadGD, FixedStep, OldAdGD, RunConfig,
                           run_solver)
 
@@ -105,6 +106,28 @@ def test_duplicate_key_rejected():
     assert "line 3" in str(err.value)
 
 
+def test_cli_duplicate_run_name_exits_2_with_its_section_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[experiment]\nreference = none\n\n[run.x]\nproblem = curve\n"
+                   "rule = adproxgd\n\n[run.x]\nproblem = mle\nrule = adproxgd\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config error (line 8): duplicate run name 'x'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_with_a_byte_order_mark_runs_as_without(tmp_path):
+    text = b"[experiment]\nproblem = curve\nmax_iter = 5\nreference = none\nplot = no\n"
+    written = []
+    for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        (tmp_path / f"{name}.ini").write_bytes(data)
+        assert cli_main(["run", "--config", str(tmp_path / f"{name}.ini"),
+                         "--out", str(tmp_path / name)]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert len(written[0]) == 12   # meta.json, summary.csv and the ten curve CSVs
+    assert first_difference(*written) is None
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("### Config schema", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
@@ -159,7 +182,8 @@ def test_config_seed_past_2_to_the_53_runs_as_the_seed_flag(tmp_path):
     "max_iter = 0", "seed = nan", "max_iter = 1e400", "grad_tol = -1", "alpha0 = -2",
     # text that float rounds to an integer, but whose decimal value is none
     "seed = 9007199254740993.5", "max_iter = 2.0000000000000001",
-    "[run.a", "[experiment]", "problem = mle, banana", "reference = maybe",
+    "[run.a", "[experiment]", "problem = mle, banana", "problem = curve, curve",
+    "reference = maybe",
     "[run.a]\nrule = adgd2",
 ])
 def test_cli_bad_value_exits_2_with_line(tmp_path, capsys, line):
@@ -473,6 +497,20 @@ def test_ops_to_accuracy_thresholds(small_run):
     assert 0 < ops < essential_units("dual_entropy", tr.counters) + 1
 
 
+@pytest.mark.parametrize("view, message", [
+    pytest.param(trace_csv_text, "did not record rows", id="trace_csv_text"),
+    pytest.param(lambda tr: ops_to_accuracy(tr, "curve", -math.inf), "trace has no rows",
+                 id="ops_to_accuracy"),
+    pytest.param(lambda tr: check_feasibility(make_problem("curve", 1), tr),
+                 "not recorded with iterates", id="check_feasibility"),
+])
+def test_views_of_what_a_run_did_not_record_raise(view, message):
+    bare = run_solver(make_problem("curve", 1), AdGD2(),
+                      RunConfig(max_iter=5, record_trace=False, record_rows=False))
+    with pytest.raises(ValueError, match=message):
+        view(bare)
+
+
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
@@ -526,10 +564,11 @@ def test_reference_cache_rejects_file_of_other_settings(tmp_path, monkeypatch):
                     reason="the writers are forked processes")
 def test_reference_cache_concurrent_writers(tmp_path):
     inst = make_quadratic(85, 10, 10.0)
+    built = make_reference(inst)
 
     def build():
         for _ in range(25):
-            make_reference(inst, tmp_path, force=True)
+            _save(reference_path(tmp_path, inst), built, _cache_settings(inst))
 
     context = multiprocessing.get_context("fork")
     writers = [context.Process(target=build) for _ in range(2)]
@@ -567,6 +606,13 @@ def test_reference_nmf_closed_form(tmp_path):
     assert ref.tolerance == 0.0
 
 
+def test_reference_solve_out_of_budget_is_low_confidence(monkeypatch):
+    monkeypatch.setattr("adgd.reference.REFERENCE_MAX_ITER", 5)
+    ref = make_reference(make_problem("curve", 1))
+    assert ref.provenance.endswith("iters=5, status=max_iter "
+                                   "(low-confidence: budget exhausted)")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reference_mle_closed_form_matches_converged_solve(seed):
     inst = make_mle(seed, 10)
@@ -593,25 +639,26 @@ def test_plot_is_read_only_and_emits_svg(small_run):
 
 
 def test_plot_ignores_cache_file_of_other_settings(tmp_path, monkeypatch):
+    """With its reference file missing, built under other settings or truncated,
+    plot rebuilds the same file and draws the SVG that run drew."""
     out = tmp_path / "out"
     text = GOOD_CONFIG.format(out=out).replace("dual_entropy", "curve")
-    run_experiment(parse_config(text.replace("reference = none", "reference = auto")))
-    cache = out / "references"
+    run_experiment(parse_config(text.replace("reference = none", "reference = auto")
+                                .replace("plot = no", "plot = yes")))
     inst = make_min_curve(3, 20, 100)
-    assert reference_path(cache, inst).exists()
-    for p in cache.iterdir():
-        p.unlink()
-    plot_run_dir(out)
-    without = {p.name: p.read_bytes() for p in out.glob("*.svg")}
-    # a file built under other settings, sitting where the default lookup goes
-    _loose_reference(inst, cache, monkeypatch)[1].replace(reference_path(cache, inst))
-    plot_run_dir(out)
-    assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == without
-    # a truncated file: a miss as well
-    path = reference_path(cache, inst)
-    path.write_bytes(path.read_bytes()[:100])
-    plot_run_dir(out)
-    assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == without
+    path, svg = reference_path(out / "references", inst), out / "curve_gap_vs_ops.svg"
+    built, drawn = path.read_bytes(), svg.read_bytes()
+
+    def foreign():   # a file built under other settings, where the default lookup goes
+        _loose_reference(inst, path.parent, monkeypatch)[1].replace(path)
+
+    for damage in (path.unlink, foreign, lambda: path.write_bytes(built[:100])):
+        damage()
+        svg.unlink()
+        assert plot_run_dir(out) == [svg]
+        assert svg.read_bytes() == drawn
+        assert path.read_bytes() == built
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +712,16 @@ def test_cli_plot_rewrites_the_svgs_that_run_drew(tmp_path, reference):
         (out / name).unlink()
     assert cli_main(["plot", "--run", str(out)]) == 0
     assert first_difference(drawn, {p.name: p.read_bytes() for p in out.glob("*.svg")}) is None
+
+
+def test_plot_legend_of_a_rule_without_its_own_label_is_its_kind(tmp_path):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+    cfg.write_text("[experiment]\nmax_iter = 20\nreference = none\n\n"
+                   "[run.a]\nproblem = quadratic\nrule = adgd1\n\n"
+                   "[run.b]\nproblem = quadratic\nrule = adgd2\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    svg = (out / "quadratic_gap_vs_ops.svg").read_text()
+    assert '>adgd1</text>' in svg and '>adaptive</text>' in svg
 
 
 LRMC_CELL = """
@@ -874,6 +931,8 @@ def _first_cell_problem(change):
     pytest.param(_first_cell_problem(lambda desc: desc["params"].update(q=1)),
                  id="unknown parameter"),
     pytest.param(_first_cell_problem(lambda desc: desc.pop("seed")), id="no seed"),
+    pytest.param(_first_cell_problem(lambda desc: desc.update(format="adgd-problem-v0")),
+                 id="foreign format"),
     pytest.param(_first_cell_problem(lambda desc: desc.update(kind="mle", params={"n": 0})),
                  id="mle with n 0"),
     pytest.param(_first_cell_problem(lambda desc: desc.update(kind="lrmc", params={"n": 0})),
@@ -1040,13 +1099,11 @@ def test_cli_output_path_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys, a
 def test_cli_reference_rebuilds_a_corrupt_cache_file(tmp_path, corrupt):
     argv = ["reference", "--problem", "mle", "--seed", "1", "--cache", str(tmp_path)]
     assert cli_main(argv) == 0
-    inst = make_problem("mle", 1)
-    path = reference_path(tmp_path, inst)
-    F_star = cached_reference(inst, tmp_path).F_star
-    path.write_bytes(corrupt(path.read_bytes()))
-    assert cached_reference(inst, tmp_path) is None
+    path = reference_path(tmp_path, make_problem("mle", 1))
+    built = path.read_bytes()
+    path.write_bytes(corrupt(built))
     assert cli_main(argv) == 0
-    assert cached_reference(inst, tmp_path).F_star == F_star
+    assert path.read_bytes() == built
     assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp file left
 
 

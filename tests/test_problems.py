@@ -397,6 +397,11 @@ def test_make_problem_rejects_an_unknown_scale(scale):
         make_problem("mle", 1, scale)
 
 
+def test_make_problem_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown problem kind 'banana'"):
+        make_problem("banana", 1)
+
+
 def test_experiment_kinds_are_the_kinds_with_a_prox_part():
     # parse_config rejects rules without prox support on EXPERIMENT_KINDS
     with_prox = {kind for kind in KINDS
